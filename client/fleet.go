@@ -165,11 +165,9 @@ func (f *Fleet) WarmTable(ctx context.Context, set *model.MulticastSet, parallel
 }
 
 // WarmAll warms every set's table concurrently, each request routed to
-// the set's owning replica. With distributed fills enabled on the fleet
-// (hnowd -fleet-fill) each owner then leads its own band chain, so a
-// bulk pre-warm spreads across the replicas twice over: by ownership
-// and by band delegation. Results are positional; warms that fail leave
-// a nil slot and their errors are joined.
+// the set's owning replica, so a bulk pre-warm spreads its fills across
+// the replicas by ownership. Results are positional; warms that fail
+// leave a nil slot and their errors are joined.
 func (f *Fleet) WarmAll(ctx context.Context, sets []*model.MulticastSet, parallelism int) ([]*service.TableResponse, error) {
 	out := make([]*service.TableResponse, len(sets))
 	errs := make([]error, len(sets))

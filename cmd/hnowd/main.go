@@ -24,7 +24,6 @@
 //	GET  /v1/fleet/ring   fleet membership + digest
 //	GET  /v1/fleet/table/{key}  raw .hnowtbl bytes for peers (404 = not held)
 //	POST /v1/fleet/table/{key}  build-and-stream for peers (owner path)
-//	POST /v1/fleet/fill/{key}   fill one delegated layer band (-fleet-fill)
 //	GET  /healthz         liveness + algorithm list
 //	GET  /debug/vars      expvar counters (cache, table, fleet, batch pool)
 //	GET  /debug/pprof/*   profiling endpoints (only with -pprof)
@@ -53,7 +52,7 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 64, "maximum retained sweep jobs")
 	tableMem := flag.Int64("table-mem", 1024, "byte budget for warm DP tables, in MiB (mapped tables count their file size)")
 	tableWorkers := flag.Int("table-workers", 0, "default /v1/table fill parallelism (0 = GOMAXPROCS)")
-	tableDir := flag.String("table-dir", "", "persist built DP tables to this directory (sharded layout; a flat v1 dir is migrated at startup) and reload them across restarts (\"\" = off)")
+	tableDir := flag.String("table-dir", "", "persist built DP tables to this directory (sharded layout; files of a flat v1 dir are served in place) and reload them across restarts (\"\" = off)")
 	sweepMaxTrials := flag.Int("sweep-max-trials", 0, "per-request sweep trial cap (0 = default 50000)")
 	sweepMaxN := flag.Int("sweep-max-n", 0, "per-request sweep destination cap (0 = default 2048)")
 	sweepMaxK := flag.Int("sweep-max-k", 0, "per-request sweep type cap (0 = default 16)")
@@ -62,8 +61,6 @@ func main() {
 	self := flag.String("self", "", "fleet mode: this replica's advertised base URL (e.g. http://10.0.0.3:8080); \"\" = single-node")
 	peers := flag.String("peers", "", "fleet mode: comma-separated base URLs of every replica (self is added if absent)")
 	fleetTimeout := flag.Duration("fleet-timeout", 0, "per-peer request timeout for fleet fetches (0 = default 5s)")
-	fleetFill := flag.Bool("fleet-fill", false, "fleet mode: distribute large table fills across replicas as layer bands")
-	fleetFillMin := flag.Int64("fleet-fill-min-states", 0, "minimum DP state count before a fill is distributed (0 = default 16384)")
 	flag.Parse()
 
 	var peerList []string
@@ -79,22 +76,20 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		CacheSize:          *cacheSize,
-		CacheShards:        *cacheShards,
-		Workers:            *workers,
-		MaxJobs:            *maxJobs,
-		TableMemBytes:      *tableMem << 20,
-		TableWorkers:       *tableWorkers,
-		TableDir:           *tableDir,
-		SweepMaxTrials:     *sweepMaxTrials,
-		SweepMaxN:          *sweepMaxN,
-		SweepMaxK:          *sweepMaxK,
-		SweepMaxPerturbed:  *sweepMaxPerturbed,
-		Self:               *self,
-		Peers:              peerList,
-		FleetTimeout:       *fleetTimeout,
-		FleetFill:          *fleetFill,
-		FleetFillMinStates: *fleetFillMin,
+		CacheSize:         *cacheSize,
+		CacheShards:       *cacheShards,
+		Workers:           *workers,
+		MaxJobs:           *maxJobs,
+		TableMemBytes:     *tableMem << 20,
+		TableWorkers:      *tableWorkers,
+		TableDir:          *tableDir,
+		SweepMaxTrials:    *sweepMaxTrials,
+		SweepMaxN:         *sweepMaxN,
+		SweepMaxK:         *sweepMaxK,
+		SweepMaxPerturbed: *sweepMaxPerturbed,
+		Self:              *self,
+		Peers:             peerList,
+		FleetTimeout:      *fleetTimeout,
 	})
 	if *self != "" {
 		ring := svc.RingInfo()

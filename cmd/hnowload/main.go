@@ -393,11 +393,6 @@ func driveInProcess(size int, cfg benchConfig, pop *population) (runResult, erro
 		fs.Forwards += st.Forwards
 		fs.FallbackBuilds += st.FallbackBuilds
 		fs.PeerErrors += st.PeerErrors
-		fs.FillBuilds += st.FillBuilds
-		fs.FillBandsLocal += st.FillBandsLocal
-		fs.FillBandsRemote += st.FillBandsRemote
-		fs.FillBandsServed += st.FillBandsServed
-		fs.FillBandErrors += st.FillBandErrors
 	}
 	warmCount := int(cfg.Warm * float64(len(pop.sets)))
 	return summarize(fmt.Sprintf("fleet-%d", size), size, samples, warmCount, builds, fs), nil
@@ -417,16 +412,11 @@ func driveExternal(urls []string, cfg benchConfig, pop *population) (runResult, 
 	}
 	delta := func(name string) int64 { return after[name] - before[name] }
 	fs := service.FleetStats{
-		OwnerHits:       delta("hnowd.fleet.owner_hits"),
-		PeerFetches:     delta("hnowd.fleet.peer_fetches"),
-		Forwards:        delta("hnowd.fleet.forwards"),
-		FallbackBuilds:  delta("hnowd.fleet.fallback_builds"),
-		PeerErrors:      delta("hnowd.fleet.peer_errors"),
-		FillBuilds:      delta("hnowd.fleet.fill_builds"),
-		FillBandsLocal:  delta("hnowd.fleet.fill_bands_local"),
-		FillBandsRemote: delta("hnowd.fleet.fill_bands_remote"),
-		FillBandsServed: delta("hnowd.fleet.fill_bands_served"),
-		FillBandErrors:  delta("hnowd.fleet.fill_band_errors"),
+		OwnerHits:      delta("hnowd.fleet.owner_hits"),
+		PeerFetches:    delta("hnowd.fleet.peer_fetches"),
+		Forwards:       delta("hnowd.fleet.forwards"),
+		FallbackBuilds: delta("hnowd.fleet.fallback_builds"),
+		PeerErrors:     delta("hnowd.fleet.peer_errors"),
 	}
 	warmCount := int(cfg.Warm * float64(len(pop.sets)))
 	res := summarize("targets", len(urls), samples, warmCount, delta("hnowd.table.builds"), fs)

@@ -11,7 +11,6 @@
 //	hnowtable -set c.json -save tables/                 # pre-build for `hnowd -table-dir tables/`
 //	hnowtable -set c.json -save tables/ -workers 0      # parallel fill on every core
 //	hnowtable -load tables/ab/cdef.hnowtbl -query 1:3,1 # query a persisted table
-//	hnowtable -migrate tables/                          # flat v1 spill dir -> sharded layout
 package main
 
 import (
@@ -33,18 +32,8 @@ func main() {
 	all := flag.Bool("all", false, "dump the full table")
 	save := flag.String("save", "", "persist the built table: a file path, or an existing directory (e.g. a daemon -table-dir) to use the canonical sharded spill path")
 	load := flag.String("load", "", "load a persisted table instead of building (-set is ignored)")
-	migrate := flag.String("migrate", "", "one-shot: move a flat v1 spill directory into the sharded layout, then exit")
 	workers := flag.Int("workers", 1, "table-fill parallelism (clamped to GOMAXPROCS; 0 = GOMAXPROCS)")
 	flag.Parse()
-
-	if *migrate != "" {
-		moved, err := service.MigrateSpillDir(*migrate)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("migrated %s: %d table file(s) moved into the sharded layout\n", *migrate, moved)
-		return
-	}
 
 	var table *exact.Table
 	if *load != "" {

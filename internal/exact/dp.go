@@ -21,8 +21,7 @@
 // in the recurrence strictly reduces the total destination count, so the
 // states are evaluated bottom-up by total, layer t depending only on
 // layers < t. That removes recursion and per-call allocations, lets
-// FillAll shard each layer across a worker pool (FillAllParallel) or a
-// fleet of processes (FillLayers + the band format in band.go), and
+// FillAll shard each layer across a worker pool (FillAllParallel), and
 // enables the split pruning evalState documents: sound block-skip bounds
 // from nested prefix minima — the pivot axis alone, then the pivot plus
 // ever-longer prefixes of the remaining axes — that let the outer
@@ -31,6 +30,12 @@
 // NOT monotone in the count vector in general — an extra fast relay node
 // can lower the optimum — so that last fast path is guarded at runtime;
 // the prefix-minimum bounds are exact box minima and need no guard).
+//
+// The crossover search pays on top of the cascade: on balanced n=48, k=3
+// networks (every one verifies monotone) it leaves the examined column
+// count unchanged — the cascade decides which columns are visited — but
+// binary-searches each visited column instead of scanning it, cutting the
+// mean fill time by roughly a fifth.
 package exact
 
 import (
@@ -133,7 +138,7 @@ type DP struct {
 	noCascade bool
 
 	// Scratch for the sequential fill path; parallel workers carry their
-	// own (see fillLayerRange).
+	// own (see fillLayers).
 	seqScratch fillScratch
 }
 
@@ -745,71 +750,8 @@ func (dp *DP) FillAllParallel(workers int) {
 		dp.FillAll()
 		return
 	}
-	dp.fillLayerRange(0, len(dp.layerOff)-1, workers)
+	dp.fillLayers(workers)
 	dp.releasePruneState()
-}
-
-// LayerCount returns the number of fill layers: the maximum total
-// destination count plus one. Layer t holds the states with total t.
-func (dp *DP) LayerCount() int { return len(dp.layerOff) - 1 }
-
-// LayerStates returns how many count-vector states layer t has (per
-// source plane).
-func (dp *DP) LayerStates(t int) int { return int(dp.layerOff[t+1] - dp.layerOff[t]) }
-
-// FillLayers evaluates every state whose destination total lies in
-// [lo, hi) across up to workers goroutines (1 = sequential, 0 =
-// GOMAXPROCS). Every layer below lo must already be filled — by an
-// earlier FillLayers call or ingested from a band (IngestBand). This is
-// the unit of fleet-distributed builds: disjoint contiguous layer bands
-// filled in ascending order, on whichever replica, compose into exactly
-// the table FillAll produces.
-func (dp *DP) FillLayers(lo, hi, workers int) error {
-	if lo < 0 || hi > dp.LayerCount() || lo > hi {
-		return fmt.Errorf("exact: layer band [%d,%d) outside [0,%d]", lo, hi, dp.LayerCount())
-	}
-	if dp.pmin == nil {
-		return fmt.Errorf("exact: fill state already released (table is fully filled)")
-	}
-	for i := int32(0); i < dp.layerOff[lo]; i++ {
-		vecState := int64(dp.order[i])
-		for _, s := range dp.planeSrc {
-			if dp.value[dp.stateIndex(s, vecState)] == unknown {
-				return fmt.Errorf("exact: layer band [%d,%d) requested with unfilled lower layers", lo, hi)
-			}
-		}
-	}
-	if workers <= 0 || workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		dp.fillStates(dp.order, dp.layerOff, lo, hi)
-	} else {
-		dp.fillLayerRange(lo, hi, workers)
-	}
-	return nil
-}
-
-// rebuildPruneState recomputes the prefix-minimum tables and the
-// monotonicity flag over layers [lo, hi) from already-present values
-// (e.g. ingested from a band), restoring exactly the state a live fill
-// of those layers would have left behind.
-func (dp *DP) rebuildPruneState(lo, hi int) {
-	vec := dp.seqScratch.vec
-	violated := false
-	for i := dp.layerOff[lo]; i < dp.layerOff[hi]; i++ {
-		vecState := int64(dp.order[i])
-		dp.decodeVec(vecState, vec)
-		for _, s := range dp.planeSrc {
-			idx := dp.stateIndex(s, vecState)
-			if dp.notePruneState(idx, vec, dp.value[idx]) {
-				violated = true
-			}
-		}
-	}
-	if violated {
-		dp.monotonePivot.Store(false)
-	}
 }
 
 // smallLayerFill is the state-evaluation count below which a layer is
@@ -854,8 +796,8 @@ func (dp *DP) runLayer(lt *layerTask, sc *fillScratch) (violated bool) {
 	}
 }
 
-// fillLayerRange fills layers [lo, hi) of the full-box order with a pool
-// of workers spawned once for the whole range (the old per-layer
+// fillLayers fills every layer of the full-box order with a pool of
+// workers spawned once for the whole fill (the old per-layer
 // goroutine spawn dominated small layers and was the w>1 allocation
 // regression). Per layer the coordinator publishes the task, wakes the
 // pool with one token each, participates itself, and waits the barrier
@@ -863,7 +805,7 @@ func (dp *DP) runLayer(lt *layerTask, sc *fillScratch) (violated bool) {
 // Workers observe monotonicity violations locally and the coordinator
 // merges them at the barrier, so the next layer's pruned sample sees
 // them exactly as it would in the sequential fill.
-func (dp *DP) fillLayerRange(lo, hi, workers int) {
+func (dp *DP) fillLayers(workers int) {
 	scr := make([]fillScratch, workers)
 	for w := range scr {
 		scr[w] = dp.newScratch()
@@ -882,7 +824,7 @@ func (dp *DP) fillLayerRange(lo, hi, workers int) {
 			}
 		}(w)
 	}
-	for t := lo; t < hi; t++ {
+	for t := 0; t+1 < len(dp.layerOff); t++ {
 		off := int(dp.layerOff[t])
 		n := int(dp.layerOff[t+1]) - off
 		if n == 0 {

@@ -289,6 +289,29 @@ func TestTableFillAllAndLookup(t *testing.T) {
 	}
 }
 
+// TestFinishTableRejectsPartialFill: FinishTable must refuse a DP with
+// unfilled states and seal a fully filled one into a working table.
+func TestFinishTableRejectsPartialFill(t *testing.T) {
+	dp, err := New(2, []Type{{Send: 1, Recv: 2}, {Send: 2, Recv: 3}}, []int{3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dp.Optimal(0, []int{1, 0}); err != nil { // sub-box only
+		t.Fatal(err)
+	}
+	if _, err := dp.FinishTable(); err == nil {
+		t.Error("FinishTable sealed a partially filled DP")
+	}
+	dp.FillAllParallel(2)
+	tbl, err := dp.FinishTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Lookup(0, []int{3, 3}); err != nil {
+		t.Errorf("sealed table lookup: %v", err)
+	}
+}
+
 func TestTableMonotonicity(t *testing.T) {
 	// Adding a destination can never decrease the optimal completion time.
 	set := figure1Set(t)

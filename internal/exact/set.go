@@ -165,6 +165,19 @@ func BuildTableParallel(set *model.MulticastSet, workers int) (*Table, error) {
 	return &Table{dp: dp}, nil
 }
 
+// FinishTable seals a DP filled by the caller (FillAll or
+// FillAllParallel) into a Table, releasing the fill-only prefix-minimum
+// state. It fails if any state is still unfilled.
+func (dp *DP) FinishTable() (*Table, error) {
+	for _, v := range dp.value {
+		if v == unknown {
+			return nil, fmt.Errorf("exact: cannot seal a partially filled table")
+		}
+	}
+	dp.releasePruneState()
+	return &Table{dp: dp}, nil
+}
+
 // K returns the number of types in the table's network.
 func (t *Table) K() int { return t.dp.K() }
 

@@ -196,8 +196,20 @@ func wanChildCand(nr, rc []int64, st []uint32, occ []NodeID, latRow []int64, gen
 // Segments == 1 the times coincide exactly with the base model.
 // Reference oracle: pipeline.Times.
 type PipelineModel struct {
-	// Segments is the segment count M (>= 1).
+	// Segments is the segment count M, in [1, MaxSegments].
 	Segments int
+}
+
+// MaxSegments caps PipelineModel.Segments: evaluation holds n·Segments
+// arrival times and loops Segments times per node.
+const MaxSegments = 4096
+
+// CheckSegments reports whether m is a valid pipeline segment count.
+func CheckSegments(m int) error {
+	if m < 1 || m > MaxSegments {
+		return fmt.Errorf("model: pipeline segments must be in [1, %d], got %d", MaxSegments, m)
+	}
+	return nil
 }
 
 // Name implements CostModel.
@@ -207,10 +219,15 @@ func (PipelineModel) Name() string { return "pipeline" }
 // their overheads.
 func (PipelineModel) TypeSymmetric() bool { return true }
 
-// Validate implements CostModel.
+// Validate implements CostModel: besides the segment count, the set's
+// cost bound times Segments must stay within MaxCost, since each segment
+// can add up to a whole base-model multicast.
 func (m PipelineModel) Validate(set *MulticastSet) error {
-	if m.Segments < 1 {
-		return fmt.Errorf("model: pipeline segments must be >= 1, got %d", m.Segments)
+	if err := CheckSegments(m.Segments); err != nil {
+		return err
+	}
+	if bound, ok := set.costBound(); !ok || bound > MaxCost/int64(m.Segments) {
+		return fmt.Errorf("model: %d segments × the set's cost bound exceeds %d", m.Segments, int64(MaxCost))
 	}
 	return nil
 }
@@ -220,8 +237,8 @@ func (m PipelineModel) Validate(set *MulticastSet) error {
 // depends only on its own per-segment arrivals, which depend only on its
 // parent's sequence.
 func (m PipelineModel) EvalInto(sch *Schedule, tm *Times) error {
-	if m.Segments < 1 {
-		return fmt.Errorf("model: pipeline segments must be >= 1, got %d", m.Segments)
+	if err := CheckSegments(m.Segments); err != nil {
+		return err
 	}
 	set := sch.Set
 	n := len(set.Nodes)

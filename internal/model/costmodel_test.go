@@ -227,3 +227,48 @@ func TestBindModelGuards(t *testing.T) {
 	}
 	mustPanic("model.RT on a clone", func() { RT(sch.Clone()) })
 }
+
+// TestPipelineSegmentsBounded: an oversized segment count is refused by
+// Validate and by EvalInto before the n·Segments arrival scratch is
+// allocated, and Segments × the set's cost bound must stay within
+// MaxCost.
+func TestPipelineSegmentsBounded(t *testing.T) {
+	for _, m := range []int{0, -1, MaxSegments + 1, 1 << 40} {
+		if CheckSegments(m) == nil {
+			t.Errorf("CheckSegments(%d) accepted", m)
+		}
+	}
+	for _, m := range []int{1, MaxSegments} {
+		if err := CheckSegments(m); err != nil {
+			t.Errorf("CheckSegments(%d): %v", m, err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	set := randIncrSet(rng, 6)
+	huge := PipelineModel{Segments: 1 << 40}
+	if huge.Validate(set) == nil {
+		t.Error("Validate accepted 1<<40 segments")
+	}
+	sch := randIncrSchedule(rng, set)
+	var tm Times
+	if huge.EvalInto(sch, &tm) == nil {
+		t.Error("EvalInto accepted 1<<40 segments")
+	}
+	if cap(tm.aux) != 0 {
+		t.Errorf("EvalInto allocated %d arrival slots before rejecting", cap(tm.aux))
+	}
+
+	// Cost bound 2 × (1 + 1 + L) = MaxCost/2 rounded down: two segments
+	// fit, four do not.
+	big := &MulticastSet{Latency: MaxCost/4 - 2, Nodes: []Node{{Send: 1, Recv: 1}, {Send: 1, Recv: 1}}}
+	if err := big.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (PipelineModel{Segments: 2}).Validate(big); err != nil {
+		t.Errorf("2 segments within the cost bound rejected: %v", err)
+	}
+	if (PipelineModel{Segments: 4}).Validate(big) == nil {
+		t.Error("4 segments × the cost bound past MaxCost accepted")
+	}
+}

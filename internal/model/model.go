@@ -20,6 +20,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -71,10 +72,35 @@ func (s *MulticastSet) N() int { return len(s.Nodes) - 1 }
 // Source returns the source node (index 0).
 func (s *MulticastSet) Source() Node { return s.Nodes[0] }
 
+// MaxCost caps a set's cost bound n·(max Send + max Recv + L), where n
+// counts every node. No base-model schedule of the set completes later
+// than that bound, so no time sum overflows int64 or reaches the exact
+// DP's inf sentinel (MaxInt64/4).
+const MaxCost = math.MaxInt64 / 8
+
+// costBound returns n·(max Send + max Recv + L) over the set's nodes, or
+// ok=false when it exceeds MaxCost. Overheads and latency must be
+// positive.
+func (s *MulticastSet) costBound() (bound int64, ok bool) {
+	var maxSend, maxRecv int64
+	for _, n := range s.Nodes {
+		maxSend = max(maxSend, n.Send)
+		maxRecv = max(maxRecv, n.Recv)
+	}
+	if maxSend > MaxCost || maxRecv > MaxCost || s.Latency > MaxCost {
+		return 0, false
+	}
+	hop, n := maxSend+maxRecv+s.Latency, int64(len(s.Nodes)) // hop <= 3·MaxCost
+	if hop > MaxCost/n {
+		return 0, false
+	}
+	return n * hop, true
+}
+
 // Validate checks the model's assumptions: at least a source, positive
-// integer overheads and latency, and overheads directly correlated with
-// node speed (osend(p) < osend(q) iff orecv(p) < orecv(q)); the correlation
-// check is O(n log n).
+// integer overheads and latency, overheads directly correlated with node
+// speed (osend(p) < osend(q) iff orecv(p) < orecv(q)), and a cost bound
+// within MaxCost; the correlation check is O(n log n).
 func (s *MulticastSet) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("model: multicast set has no nodes")
@@ -86,6 +112,9 @@ func (s *MulticastSet) Validate() error {
 		if n.Send <= 0 || n.Recv <= 0 {
 			return fmt.Errorf("model: node %d has non-positive overheads (send=%d recv=%d)", i, n.Send, n.Recv)
 		}
+	}
+	if _, ok := s.costBound(); !ok {
+		return fmt.Errorf("model: %d nodes × (max send + max recv + latency) exceeds %d", len(s.Nodes), int64(MaxCost))
 	}
 	// Correlation: after sorting by Send, Recv must be non-decreasing and
 	// equal Sends must have equal Recvs ordered consistently. The paper

@@ -97,6 +97,11 @@ func TestValidateRejectsBadSets(t *testing.T) {
 		{"zero recv", MulticastSet{Latency: 1, Nodes: []Node{{Send: 1, Recv: 0}}}},
 		{"uncorrelated", MulticastSet{Latency: 1, Nodes: []Node{{Send: 1, Recv: 5}, {Send: 2, Recv: 1}}}},
 		{"equal send different recv", MulticastSet{Latency: 1, Nodes: []Node{{Send: 2, Recv: 5}, {Send: 2, Recv: 1}}}},
+		{"cost bound overflows", MulticastSet{Latency: 1 << 61, Nodes: []Node{
+			{Send: 1 << 61, Recv: 1 << 61}, {Send: 1 << 61, Recv: 1 << 61},
+			{Send: 1 << 61, Recv: 1 << 61}, {Send: 1 << 61, Recv: 1 << 61}}}},
+		{"cost bound just past MaxCost", MulticastSet{Latency: MaxCost/2 - 1, Nodes: []Node{
+			{Send: 1, Recv: 1}, {Send: 1, Recv: 1}}}},
 	}
 	for _, c := range cases {
 		if err := c.set.Validate(); err == nil {
@@ -111,6 +116,11 @@ func TestValidateAcceptsCorrelatedSets(t *testing.T) {
 	}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+	// One below MaxCost: 2 nodes × (1 + 1 + (MaxCost/2 - 2)).
+	edge := MulticastSet{Latency: MaxCost/2 - 2, Nodes: []Node{{Send: 1, Recv: 1}, {Send: 1, Recv: 1}}}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("Validate at the cost bound: %v", err)
 	}
 }
 

@@ -96,19 +96,6 @@ type FleetStats struct {
 	// PeerErrors counts failed peer interactions: transport errors after
 	// retries, unexpected statuses, and corrupt/truncated table bytes.
 	PeerErrors int64 `json:"peer_errors"`
-	// FillBuilds counts distributed band-chain builds this replica ran as
-	// owner (Config.FleetFill; builds under the size threshold or with no
-	// peers stay plain local fills and are not counted here).
-	FillBuilds int64 `json:"fill_builds"`
-	// FillBandsLocal / FillBandsRemote count the layer bands of those
-	// builds filled by this replica vs. successfully delegated to peers;
-	// FillBandsServed counts bands this replica filled for other owners.
-	FillBandsLocal  int64 `json:"fill_bands_local"`
-	FillBandsRemote int64 `json:"fill_bands_remote"`
-	FillBandsServed int64 `json:"fill_bands_served"`
-	// FillBandErrors counts delegated bands that came back broken or not
-	// at all — each one degraded to a local band fill.
-	FillBandErrors int64 `json:"fill_band_errors"`
 }
 
 // fleetState is the per-server fleet runtime: the membership ring, the
@@ -122,17 +109,11 @@ type fleetState struct {
 	brkCooldown  time.Duration
 	client       *http.Client
 
-	// fillMinStates is the DP size below which a fleet-fill owner skips
-	// the band protocol and fills locally.
-	fillMinStates int64
-
 	mu       sync.RWMutex
 	ring     *fleet.Ring
 	breakers map[string]*fleet.Breaker
 
 	ownerHits, peerFetches, forwards, fallbackBuilds, peerErrors atomic.Int64
-
-	fillBuilds, fillBandsLocal, fillBandsRemote, fillBandsServed, fillBandErrors atomic.Int64
 }
 
 const (
@@ -143,18 +124,14 @@ const (
 
 func newFleetState(cfg Config) *fleetState {
 	f := &fleetState{
-		self:          fleet.Normalize(cfg.Self),
-		timeout:       cfg.FleetTimeout,
-		buildTimeout:  cfg.FleetBuildTimeout,
-		retries:       cfg.FleetRetries,
-		brkThreshold:  cfg.FleetBreakerThreshold,
-		brkCooldown:   cfg.FleetBreakerCooldown,
-		fillMinStates: cfg.FleetFillMinStates,
-		breakers:      map[string]*fleet.Breaker{},
-		client:        &http.Client{},
-	}
-	if f.fillMinStates <= 0 {
-		f.fillMinStates = defaultFleetFillMinStates
+		self:         fleet.Normalize(cfg.Self),
+		timeout:      cfg.FleetTimeout,
+		buildTimeout: cfg.FleetBuildTimeout,
+		retries:      cfg.FleetRetries,
+		brkThreshold: cfg.FleetBreakerThreshold,
+		brkCooldown:  cfg.FleetBreakerCooldown,
+		breakers:     map[string]*fleet.Breaker{},
+		client:       &http.Client{},
 	}
 	if f.timeout <= 0 {
 		f.timeout = defaultFleetTimeout
@@ -427,16 +404,11 @@ func (s *Server) FleetStats() FleetStats {
 		return FleetStats{}
 	}
 	return FleetStats{
-		OwnerHits:       s.fleet.ownerHits.Load(),
-		PeerFetches:     s.fleet.peerFetches.Load(),
-		Forwards:        s.fleet.forwards.Load(),
-		FallbackBuilds:  s.fleet.fallbackBuilds.Load(),
-		PeerErrors:      s.fleet.peerErrors.Load(),
-		FillBuilds:      s.fleet.fillBuilds.Load(),
-		FillBandsLocal:  s.fleet.fillBandsLocal.Load(),
-		FillBandsRemote: s.fleet.fillBandsRemote.Load(),
-		FillBandsServed: s.fleet.fillBandsServed.Load(),
-		FillBandErrors:  s.fleet.fillBandErrors.Load(),
+		OwnerHits:      s.fleet.ownerHits.Load(),
+		PeerFetches:    s.fleet.peerFetches.Load(),
+		Forwards:       s.fleet.forwards.Load(),
+		FallbackBuilds: s.fleet.fallbackBuilds.Load(),
+		PeerErrors:     s.fleet.peerErrors.Load(),
 	}
 }
 

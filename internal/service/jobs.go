@@ -85,8 +85,8 @@ func (req *SweepRequest) validateModel() error {
 	switch req.Model {
 	case "", "base", "reduce", "barrier":
 	case "pipeline":
-		if req.Segments < 1 {
-			return fmt.Errorf("model \"pipeline\" needs \"segments\" >= 1, got %d", req.Segments)
+		if err := model.CheckSegments(req.Segments); err != nil {
+			return err
 		}
 	case "wan":
 		if req.WAN == nil {

@@ -112,17 +112,15 @@ func resolveInstance(p ModelParams, raw json.RawMessage) (*model.MulticastSet, r
 		}
 		return canon, resolvedModel{cm: cm, key: "wan:" + latDigest(lat)}, nil
 	case "pipeline":
-		if p.Segments < 1 {
-			return nil, resolvedModel{}, fmt.Errorf("model \"pipeline\" needs \"segments\" >= 1, got %d", p.Segments)
-		}
 		set, err := decodeSet(raw)
 		if err != nil {
 			return nil, resolvedModel{}, err
 		}
-		return Canonicalize(set), resolvedModel{
-			cm:  &model.PipelineModel{Segments: p.Segments},
-			key: "pipe:" + strconv.Itoa(p.Segments),
-		}, nil
+		cm := &model.PipelineModel{Segments: p.Segments}
+		if err := cm.Validate(set); err != nil {
+			return nil, resolvedModel{}, err
+		}
+		return Canonicalize(set), resolvedModel{cm: cm, key: "pipe:" + strconv.Itoa(p.Segments)}, nil
 	case "reduce":
 		set, err := decodeSet(raw)
 		if err != nil {

@@ -42,9 +42,9 @@ type Config struct {
 	// TableDir, when non-empty, persists every built DP table to this
 	// directory (atomic temp-file + rename, versioned checksummed format,
 	// sharded by hash prefix) and checks it before building, so a
-	// restarted daemon keeps its network precomputations. A flat v1 spill
-	// directory is migrated to the sharded layout at startup. "" disables
-	// the spill.
+	// restarted daemon keeps its network precomputations. Tables left at
+	// the top level by the older flat layout are indexed and served in
+	// place. "" disables the spill.
 	TableDir string
 	// SweepMaxTrials / SweepMaxN / SweepMaxK cap sweep requests (defaults
 	// 50000 trials, 2048 destinations, 16 types): one unbounded sweep
@@ -77,18 +77,6 @@ type Config struct {
 	// for FleetBreakerCooldown (defaults 3 failures, 5s).
 	FleetBreakerThreshold int
 	FleetBreakerCooldown  time.Duration
-	// FleetFill distributes DP table builds across the fleet: the key's
-	// owner partitions the layered fill into one contiguous band per
-	// replica and delegates bands to peers over POST /v1/fleet/fill/{key}
-	// (see internal/service/fleet_fill.go). Peer failures degrade band by
-	// band to local fills, so the build never gets worse than a plain
-	// owner-side fill. Requires fleet mode (Self).
-	FleetFill bool
-	// FleetFillMinStates is the DP state-space size below which a
-	// fleet-fill owner skips the band protocol and fills locally
-	// (default 16384): shipping a prefix band costs more than filling a
-	// small table.
-	FleetFillMinStates int64
 }
 
 // Server is the hnowd scheduling service: a plan cache over the
@@ -129,17 +117,11 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Self != "" {
 		s.fleet = newFleetState(cfg)
-		if cfg.FleetFill {
-			// Every getOrBuild caller (table warms, fleet build-and-stream,
-			// owner-side misses) inherits the distributed band chain.
-			s.tables.build = s.fleetBuildTable
-		}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/fleet/ring", s.handleFleetRing)
 	s.mux.HandleFunc("GET /v1/fleet/table/{key}", s.handleFleetTableGet)
 	s.mux.HandleFunc("POST /v1/fleet/table/{key}", s.handleFleetTablePost)
-	s.mux.HandleFunc("POST /v1/fleet/fill/{key}", s.handleFleetFill)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	s.mux.HandleFunc("POST /v1/compare", s.handleCompare)

@@ -170,6 +170,38 @@ func TestScheduleErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedInstanceRejected: overheads and latency of 2^61 make every
+// schedule's completion time overflow int64 (and the DP saturate at its
+// inf sentinel), so all three instance endpoints must refuse the set as
+// invalid rather than answer 200 with a wrong time. An oversized pipeline
+// segment count is refused the same way.
+func TestOversizedInstanceRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const big = 1 << 61
+	node := map[string]int64{"send": big, "recv": big}
+	data, err := json.Marshal(map[string]any{"latency": big, "nodes": []map[string]int64{node, node, node, node}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := json.RawMessage(data)
+	for path, body := range map[string]any{
+		"/v1/schedule": ScheduleRequest{Set: raw},
+		"/v1/compare":  CompareRequest{Set: raw, Optimal: true},
+		"/v1/table":    TableRequest{Set: raw},
+	} {
+		if resp, out := post(t, ts.URL+path, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with 2^61 costs: HTTP %d, want 400 (%s)", path, resp.StatusCode, out)
+		}
+	}
+
+	resp, out := post(t, ts.URL+"/v1/schedule", ScheduleRequest{
+		Set: rawSet(t, genSet(t, 4, 1)), ModelParams: ModelParams{Model: "pipeline", Segments: 1 << 40},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("segments=1<<40: HTTP %d, want 400 (%s)", resp.StatusCode, out)
+	}
+}
+
 func TestCompare(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	set := genSet(t, 6, 11)

@@ -8,9 +8,9 @@ package service
 //
 // where "abcdef0123456789" is the 16-hex-digit locator hash of the
 // network key (the first two digits name the shard subdirectory). The v1
-// layout kept every file flat in <table-dir>; MigrateSpillDir moves a v1
-// directory into the sharded layout, and the daemon runs it automatically
-// at startup so old spill directories keep working.
+// layout kept every file flat in <table-dir>; the index scan also reads
+// top-level files and routes by header, so such files keep being served
+// where they are.
 //
 // The index is the startup-built map from network key to spill file: the
 // one place the service does ReadDir and header I/O. After startup every
@@ -25,7 +25,6 @@ import (
 	"expvar"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"repro/internal/exact"
@@ -75,50 +74,6 @@ func SpillPath(dir string, t *exact.Table) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// MigrateSpillDir moves flat v1 spill files (<16 hex digits>.hnowtbl at
-// the top level of dir) into the sharded layout, returning how many were
-// moved. Files with foreign names are left alone — the index scan finds
-// them by header wherever they sit. A missing directory is not an error
-// (nothing to migrate).
-func MigrateSpillDir(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	moved := 0
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != tableFileExt {
-			continue
-		}
-		stem := strings.TrimSuffix(name, tableFileExt)
-		if len(stem) != 16 || !isLowerHex(stem) {
-			continue
-		}
-		dst := filepath.Join(dir, stem[:2], stem[2:]+tableFileExt)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return moved, err
-		}
-		if err := os.Rename(filepath.Join(dir, name), dst); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
-}
-
-func isLowerHex(s string) bool {
-	for _, c := range s {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // spillIndex is the in-memory catalogue of every persisted table: network

@@ -110,8 +110,9 @@ func TestSpillIndexCoversWithZeroDiskScans(t *testing.T) {
 }
 
 // TestFlatSpillMigration: a spill directory written by the old flat
-// layout must keep working — the daemon migrates it to the sharded
-// layout at startup and serves the first compare from disk.
+// layout must keep working without any migration — the file stays where
+// it is, the startup index finds it by header, and the first compare is
+// served from disk.
 func TestFlatSpillMigration(t *testing.T) {
 	dir := t.TempDir()
 	set := Canonicalize(spillSet(t, 7))
@@ -128,58 +129,6 @@ func TestFlatSpillMigration(t *testing.T) {
 	}
 
 	c := newTableCache(0, dir)
-	if _, err := os.Stat(filepath.Join(dir, flat)); !os.IsNotExist(err) {
-		t.Errorf("flat file survived migration (err %v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, rel)); err != nil {
-		t.Errorf("sharded file missing after migration: %v", err)
-	}
-	if got := c.index.size(); got != 1 {
-		t.Fatalf("index holds %d networks after migration, want 1", got)
-	}
-	want, err := exact.OptimalRT(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildsBefore := expTableBuilds.Value()
-	if rt, ok := c.lookupSetAny(set); !ok || rt != want {
-		t.Fatalf("migrated lookup = (%d, %v), want (%d, true)", rt, ok, want)
-	}
-	if got := expTableBuilds.Value() - buildsBefore; got != 0 {
-		t.Errorf("migrated lookup triggered %d DP builds, want 0", got)
-	}
-}
-
-// TestMigrateSpillDirLeavesForeignFiles: only canonical v1 names are
-// moved; anything else stays put (and is still found by the index scan,
-// which goes by header, not name).
-func TestMigrateSpillDirLeavesForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	set := Canonicalize(spillSet(t, 3))
-	table, err := exact.BuildTable(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreign := filepath.Join(dir, "prebuilt-net.hnowtbl")
-	if err := exact.WriteTableFile(foreign, table); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	moved, err := MigrateSpillDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Errorf("migration moved %d foreign files", moved)
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Errorf("foreign file disturbed: %v", err)
-	}
-	// The index still finds the foreign-named table by its header, and
-	// loads route to its actual path.
-	c := newTableCache(0, dir)
 	if got := c.index.size(); got != 1 {
 		t.Fatalf("index holds %d networks, want 1", got)
 	}
@@ -187,8 +136,18 @@ func TestMigrateSpillDirLeavesForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buildsBefore := expTableBuilds.Value()
 	if rt, ok := c.lookupSetAny(set); !ok || rt != want {
-		t.Errorf("foreign-named table lookup = (%d, %v), want (%d, true)", rt, ok, want)
+		t.Fatalf("flat-file lookup = (%d, %v), want (%d, true)", rt, ok, want)
+	}
+	if got := expTableBuilds.Value() - buildsBefore; got != 0 {
+		t.Errorf("flat-file lookup triggered %d DP builds, want 0", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, flat)); err != nil {
+		t.Errorf("flat file moved: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, rel)); !os.IsNotExist(err) {
+		t.Errorf("flat file copied into the sharded layout (err %v)", err)
 	}
 }
 

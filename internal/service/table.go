@@ -152,10 +152,6 @@ type tableCache struct {
 	inflight map[string]*tableFlight
 	buildSem chan struct{}
 	index    *spillIndex // nil when dir == ""
-	// build overrides how a missing table is materialized (nil = a plain
-	// local parallel DP fill). Fleet-fill mode installs the distributed
-	// band orchestration here, so every getOrBuild caller inherits it.
-	build func(inst *exact.Instance, workers int) (*exact.Table, error)
 
 	// builds / optSolves are this cache's own counters (the expvars
 	// aggregate across every cache in the process): DP table fills run
@@ -211,9 +207,6 @@ func newTableCache(maxBytes int64, dir string) *tableCache {
 	if dir != "" {
 		// Best effort: a failed mkdir surfaces as disk_errors on first use.
 		os.MkdirAll(dir, 0o755)
-		if _, err := MigrateSpillDir(dir); err != nil {
-			expTableDiskErrors.Add(1)
-		}
 		c.index = newSpillIndex(dir)
 	}
 	return c
@@ -609,7 +602,7 @@ func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table
 
 		c.buildSem <- struct{}{} // bound concurrent distinct-network builds
 		start := time.Now()
-		t, err := c.buildTable(inst, workers)
+		t, err := exact.BuildTableParallel(inst.Set, workers)
 		<-c.buildSem
 		if err != nil {
 			c.mu.Lock()
@@ -631,16 +624,6 @@ func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table
 		c.saveToDisk(key, t)
 		return t, key, TableCacheMiss, time.Since(start), nil
 	}
-}
-
-// buildTable materializes a table through the cache's build hook (the
-// fleet-distributed band chain in fleet-fill mode) or a plain local
-// parallel DP fill.
-func (c *tableCache) buildTable(inst *exact.Instance, workers int) (*exact.Table, error) {
-	if c.build != nil {
-		return c.build(inst, workers)
-	}
-	return exact.BuildTableParallel(inst.Set, workers)
 }
 
 // optimalRT is /v1/compare's exact-optimum fallback when no table covers
