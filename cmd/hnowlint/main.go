@@ -1,15 +1,18 @@
 // Command hnowlint runs the repository's invariant analyzers
 // (internal/lint) over the module: modelbound, pairing, expvarname, and
-// the source half of noalloc on every invocation; the compiler-backed
-// escape check with -escape (CI runs both). Exit status 1 means at
-// least one finding, printed one per line as file:line:col: analyzer:
-// message.
+// the source half of noalloc on every invocation. With -escape it also
+// runs the compiler-backed half: one -gcflags='-m -d=ssa/check_bce'
+// rebuild of the //hnow:noalloc packages, whose heap allocations and
+// bounds checks inside annotated functions are diffed against
+// .github/noalloc_allowlist.txt (CI runs it this way). Exit status 1
+// means at least one finding, printed one per line as file:line:col:
+// analyzer: message.
 //
 // Usage:
 //
-//	go run ./cmd/hnowlint ./...                          # source analyzers
-//	go run ./cmd/hnowlint -escape ./...                  # + escape-allowlist diff
-//	go run ./cmd/hnowlint -escape-only -write-allowlist ./...
+//	go run ./cmd/hnowlint ./...                   # source analyzers
+//	go run ./cmd/hnowlint -escape ./...           # + noalloc allowlist diff
+//	go run ./cmd/hnowlint -write-allowlist ./...  # regenerate the allowlist
 package main
 
 import (
@@ -24,10 +27,9 @@ import (
 func main() {
 	var (
 		dir        = flag.String("C", ".", "module directory to analyze in")
-		escape     = flag.Bool("escape", false, "also run the //hnow:noalloc escape check (rebuilds annotated packages with -gcflags=-m)")
-		escapeOnly = flag.Bool("escape-only", false, "run only the escape check")
-		allowlist  = flag.String("allowlist", filepath.Join(".github", "escape_allowlist.txt"), "escape allowlist path, relative to the module directory")
-		writeAllow = flag.Bool("write-allowlist", false, "regenerate the escape allowlist from fresh compiler output instead of diffing")
+		escape     = flag.Bool("escape", false, "also run the //hnow:noalloc compiler check (rebuilds annotated packages with -gcflags='-m -d=ssa/check_bce')")
+		allowlist  = flag.String("allowlist", filepath.Join(".github", "noalloc_allowlist.txt"), "noalloc allowlist path, relative to the module directory")
+		writeAllow = flag.Bool("write-allowlist", false, "regenerate the noalloc allowlist from fresh compiler output instead of linting")
 	)
 	flag.Parse()
 	patterns := flag.Args()
@@ -42,7 +44,7 @@ func main() {
 	}
 
 	var findings []lint.Finding
-	if !*escapeOnly {
+	if !*writeAllow {
 		fs, err := lint.RunAnalyzers(pkgs, lint.Analyzers())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -50,7 +52,7 @@ func main() {
 		}
 		findings = append(findings, fs...)
 	}
-	if *escape || *escapeOnly || *writeAllow {
+	if *escape || *writeAllow {
 		path := *allowlist
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(*dir, path)

@@ -1,8 +1,8 @@
 // Package lint is the repository's static-analysis suite: one analyzer
 // per invariant the code otherwise enforces only at runtime (requireBase
-// panics, refcount leaks, hot-path allocation regressions, expvar key
-// collisions). cmd/hnowlint drives it over the module; CI fails on any
-// finding.
+// panics, refcount leaks, hot-path allocation and bounds-check
+// regressions, expvar key collisions). cmd/hnowlint drives it over the
+// module; CI fails on any finding.
 //
 // The suite is stdlib-only by design — the module has no dependencies
 // and the analyzers keep it that way: packages are loaded through
@@ -155,7 +155,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 }
 
 // Analyzers returns fresh instances of the source-level analyzer suite
-// (everything except the escape-analysis half of noalloc, which needs a
+// (everything except the compiler-backed half of noalloc, which needs a
 // compiler run — see EscapeCheck).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{ModelBound(), Pairing(), ExpvarName(), Noalloc(nil)}

@@ -8,8 +8,8 @@ import "testing"
 // can see — base-scoring a model-bound schedule, dropping a Release on
 // an error path, an off-convention expvar key, a stray //hnow:noalloc —
 // fails this test with the same file:line diagnostic CI prints.
-// (The compiler-backed escape diff is CI-only: it needs a full -a
-// rebuild, see the workflow's escape-allowlist step.)
+// (The compiler-backed noalloc diff is CI-only: it needs a full -a
+// rebuild, see the workflow's `hnowlint -escape` step.)
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide load uses the go tool; skipped in -short")

@@ -14,10 +14,11 @@ import (
 	"strings"
 )
 
-// noallocDirective marks a function whose body must not allocate: the
-// engine/kernel hot paths that PR 5 and PR 7 made alloc-free. The claim
-// is verified against the compiler's own escape analysis (-gcflags=-m),
-// not by source inspection — see EscapeCheck.
+// noallocDirective marks a function whose body must not allocate or
+// gain bounds checks: the engine/kernel hot paths. The claim is verified
+// against the compiler's own escape analysis and bounds-check report
+// (-gcflags='-m -d=ssa/check_bce'), not by source inspection — see
+// EscapeCheck.
 const noallocDirective = "hnow:noalloc"
 
 // NoallocFunc is one annotated function's source extent.
@@ -34,8 +35,8 @@ type NoallocFunc struct {
 // of a function with a body (anywhere else it silently does nothing,
 // which is worse than an error) and, when collect is non-nil, records
 // each annotated function for EscapeCheck. The compiler-backed half
-// cannot run per-package here because it needs a full `go build
-// -gcflags=-m` pass; the driver runs it separately.
+// cannot run per-package here because it needs a full compiler rebuild;
+// the driver runs it separately.
 func Noalloc(collect *[]NoallocFunc) *Analyzer {
 	a := &Analyzer{
 		Name: "noalloc",
@@ -103,8 +104,9 @@ func funcDisplayName(fn *ast.FuncDecl) string {
 	return buf.String() + "." + fn.Name.Name
 }
 
-// escapeLine matches one compiler diagnostic from -gcflags=-m output.
-var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.+)$`)
+// diagnosticLine matches one compiler diagnostic from -m or check_bce
+// output.
+var diagnosticLine = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.+)$`)
 
 // CollectNoalloc gathers the //hnow:noalloc-annotated functions from
 // loaded packages without reporting anything.
@@ -125,14 +127,17 @@ func CollectNoalloc(pkgs []*Package) []NoallocFunc {
 	return funcs
 }
 
-// EscapeCheck is the compiler-backed half of noalloc: it rebuilds the
-// packages containing annotated functions with -gcflags=-m, keeps every
-// "escapes to heap" / "moved to heap" diagnostic that falls inside an
-// annotated function, and diffs the result against the committed
-// allowlist (mirroring the BCE guard's bce_allowlist.txt). Both
-// directions fail: a fresh escape not in the allowlist is a hot-path
-// regression, and a stale allowlist entry means the list no longer
-// reflects reality. With write set, the fresh output replaces the
+// EscapeCheck is the compiler-backed half of noalloc. It rebuilds the
+// packages containing annotated functions once with
+// -gcflags='-m -d=ssa/check_bce', keeps every "escapes to heap", "moved
+// to heap" and "Found Is*InBounds" diagnostic that falls inside an
+// annotated function, and diffs them against the committed allowlist.
+// The allowlist is keyed by (package-qualified function, message, count
+// of distinct positions), so code that only shifts lines leaves it
+// valid. Both directions fail: a fresh bounds check or heap allocation
+// is a hot-path regression (reported at the function's declaration),
+// and a stale entry means the list no longer reflects reality (reported
+// at its allowlist line). With write set, the fresh counts replace the
 // allowlist instead.
 func EscapeCheck(moduleDir string, pkgs []*Package, allowlistPath string, write bool) ([]Finding, error) {
 	// The fset records absolute paths (go list reports absolute package
@@ -157,9 +162,9 @@ func EscapeCheck(moduleDir string, pkgs []*Package, allowlistPath string, write 
 	}
 	sort.Strings(paths)
 
-	// -a defeats the build cache: a cached package produces no -m output,
-	// which would read as "no allocations". Same trick as the BCE guard.
-	args := append([]string{"build", "-a", "-o", os.DevNull, "-gcflags=-m"}, paths...)
+	// -a defeats the build cache: a cached package produces no
+	// diagnostics, which would read as "nothing to report".
+	args := append([]string{"build", "-a", "-o", os.DevNull, "-gcflags=-m -d=ssa/check_bce"}, paths...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = moduleDir
 	var stderr bytes.Buffer
@@ -168,66 +173,54 @@ func EscapeCheck(moduleDir string, pkgs []*Package, allowlistPath string, write 
 		return nil, fmt.Errorf("lint: go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 
-	fresh := escapesInFuncs(moduleDir, stderr.String(), funcs)
-
+	fresh := noallocCounts(moduleDir, stderr.String(), funcs)
 	if write {
-		var buf bytes.Buffer
-		buf.WriteString("# Heap allocations the //hnow:noalloc functions are allowed to make.\n")
-		buf.WriteString("# Regenerate with: go run ./cmd/hnowlint -escape-only -write-allowlist ./...\n")
-		for _, l := range fresh {
-			buf.WriteString(l)
-			buf.WriteByte('\n')
-		}
-		return nil, os.WriteFile(allowlistPath, buf.Bytes(), 0o644)
+		return nil, writeAllowlist(allowlistPath, fresh)
 	}
-
 	allowed, err := readAllowlist(allowlistPath)
 	if err != nil {
 		return nil, err
 	}
-	var findings []Finding
-	allowSet := map[string]bool{}
-	for _, l := range allowed {
-		allowSet[l.text] = true
-	}
-	freshSet := map[string]bool{}
-	for _, l := range fresh {
-		freshSet[l] = true
-		if allowSet[l] {
-			continue
-		}
-		pos, msg, name := splitEscapeLine(l, funcs, moduleDir)
-		findings = append(findings, Finding{
-			Analyzer: "noalloc",
-			Pos:      pos,
-			Message:  fmt.Sprintf("new heap allocation in //hnow:noalloc function %s: %s (fix it, or add to %s via -write-allowlist)", name, msg, filepath.Base(allowlistPath)),
-		})
-	}
-	for _, l := range allowed {
-		if !freshSet[l.text] {
-			findings = append(findings, Finding{
-				Analyzer: "noalloc",
-				Pos:      token.Position{Filename: allowlistPath, Line: l.line},
-				Message:  fmt.Sprintf("stale escape allowlist entry %q no longer produced by the compiler; remove it or regenerate with -write-allowlist", l.text),
-			})
-		}
-	}
-	return findings, nil
+	return diffAllowlist(fresh, allowed, funcs, allowlistPath), nil
 }
 
-// escapesInFuncs extracts, from raw -gcflags=-m output, the sorted,
-// deduplicated canonical lines ("relpath:line:col: message") for heap
-// allocations inside annotated functions.
-func escapesInFuncs(moduleDir, raw string, funcs []NoallocFunc) []string {
-	seen := map[string]bool{}
-	var out []string
+// noallocKey is what the allowlist is keyed by: no line numbers, so
+// code that only moves keeps its key.
+type noallocKey struct {
+	Func string // package-qualified, e.g. "repro/internal/model.(*Engine).Eval"
+	Msg  string // compiler message, e.g. "Found IsSliceInBounds"
+}
+
+// noallocCount is one allowlist key with its count of distinct source
+// positions.
+type noallocCount struct {
+	noallocKey
+	N int
+}
+
+// String renders the count as an allowlist line.
+func (c noallocCount) String() string { return fmt.Sprintf("%s %d %s", c.Func, c.N, c.Msg) }
+
+// qualifiedName is the function's allowlist key.
+func (f NoallocFunc) qualifiedName() string { return f.PkgPath + "." + f.Name }
+
+// keptDiagnostic reports whether a compiler message is one the noalloc
+// check tracks: a heap allocation or a surviving bounds check.
+func keptDiagnostic(msg string) bool {
+	return strings.Contains(msg, "escapes to heap") || strings.Contains(msg, "moved to heap") ||
+		strings.HasPrefix(msg, "Found Is") && strings.HasSuffix(msg, "InBounds")
+}
+
+// noallocCounts extracts, from raw compiler output, the kept diagnostics
+// inside annotated functions, counted per (function, message) over
+// distinct positions: inlining repeats a position once per call site,
+// which must not inflate the count. The result is sorted by function,
+// then message.
+func noallocCounts(moduleDir, raw string, funcs []NoallocFunc) []noallocCount {
+	positions := map[noallocKey]map[string]bool{}
 	for _, line := range strings.Split(raw, "\n") {
-		m := escapeLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		msg := m[4]
-		if !strings.Contains(msg, "escapes to heap") && !strings.Contains(msg, "moved to heap") {
+		m := diagnosticLine.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil || !keptDiagnostic(m[4]) {
 			continue
 		}
 		file := m[1]
@@ -237,30 +230,97 @@ func escapesInFuncs(moduleDir, raw string, funcs []NoallocFunc) []string {
 		lineNo, _ := strconv.Atoi(m[2])
 		for _, f := range funcs {
 			if file == f.File && lineNo >= f.Start && lineNo <= f.End {
-				rel, err := filepath.Rel(moduleDir, file)
-				if err != nil {
-					rel = file
+				k := noallocKey{f.qualifiedName(), m[4]}
+				if positions[k] == nil {
+					positions[k] = map[string]bool{}
 				}
-				canonical := fmt.Sprintf("%s:%s:%s: %s", filepath.ToSlash(rel), m[2], m[3], msg)
-				if !seen[canonical] {
-					seen[canonical] = true
-					out = append(out, canonical)
-				}
+				positions[k][file+":"+m[2]+":"+m[3]] = true
 				break
 			}
 		}
 	}
-	sort.Strings(out)
+	out := make([]noallocCount, 0, len(positions))
+	for k, ps := range positions {
+		out = append(out, noallocCount{k, len(ps)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Func != out[j].Func {
+			return out[i].Func < out[j].Func
+		}
+		return out[i].Msg < out[j].Msg
+	})
 	return out
 }
 
+// diffAllowlist compares fresh counts with the allowlist. A key whose
+// fresh count exceeds its allowance is reported at the function's
+// declaration; an entry whose allowance exceeds the fresh count is
+// stale and reported at its allowlist line.
+func diffAllowlist(fresh []noallocCount, allowed []allowEntry, funcs []NoallocFunc, allowlistPath string) []Finding {
+	decl := map[string]NoallocFunc{}
+	for _, f := range funcs {
+		decl[f.qualifiedName()] = f
+	}
+	allowN := map[noallocKey]int{}
+	for _, e := range allowed {
+		allowN[e.noallocKey] = e.N
+	}
+	freshN := map[noallocKey]int{}
+	var findings []Finding
+	for _, c := range fresh {
+		freshN[c.noallocKey] = c.N
+		if c.N <= allowN[c.noallocKey] {
+			continue
+		}
+		f := decl[c.Func]
+		what := "heap allocation"
+		if strings.HasPrefix(c.Msg, "Found Is") {
+			what = "bounds check"
+		}
+		findings = append(findings, Finding{
+			Analyzer: "noalloc",
+			Pos:      token.Position{Filename: f.File, Line: f.Start},
+			Message: fmt.Sprintf("new %s in //hnow:noalloc function %s: %q at %d position(s), %s allows %d (fix it, or regenerate with -write-allowlist)",
+				what, f.Name, c.Msg, c.N, filepath.Base(allowlistPath), allowN[c.noallocKey]),
+		})
+	}
+	for _, e := range allowed {
+		if n := freshN[e.noallocKey]; n < e.N {
+			findings = append(findings, Finding{
+				Analyzer: "noalloc",
+				Pos:      token.Position{Filename: allowlistPath, Line: e.line},
+				Message:  fmt.Sprintf("stale allowlist entry %q: the compiler now reports %d position(s); remove it or regenerate with -write-allowlist", e.noallocCount, n),
+			})
+		}
+	}
+	return findings
+}
+
+const allowlistHeader = `# Bounds checks and heap allocations the //hnow:noalloc functions are
+# allowed to keep: function, count of distinct positions, compiler message.
+# Regenerate with: go run ./cmd/hnowlint -write-allowlist ./...
+`
+
+// writeAllowlist replaces the allowlist with the fresh counts.
+func writeAllowlist(path string, fresh []noallocCount) error {
+	var buf bytes.Buffer
+	buf.WriteString(allowlistHeader)
+	for _, c := range fresh {
+		buf.WriteString(c.String())
+		buf.WriteByte('\n')
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// allowEntry is one parsed allowlist line.
 type allowEntry struct {
-	text string
+	noallocCount
 	line int
 }
 
 // readAllowlist loads the committed allowlist; a missing file is an
-// empty list, '#' lines and blanks are skipped.
+// empty list, '#' lines and blanks are skipped, and any other line must
+// read "function count message".
 func readAllowlist(path string) ([]allowEntry, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -270,36 +330,24 @@ func readAllowlist(path string) ([]allowEntry, error) {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
 	var out []allowEntry
+	seen := map[noallocKey]bool{}
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		out = append(out, allowEntry{text: line, line: i + 1})
+		fn, rest, _ := strings.Cut(line, " ")
+		count, msg, _ := strings.Cut(rest, " ")
+		n, err := strconv.Atoi(count)
+		if err != nil || n < 1 || msg == "" {
+			return nil, fmt.Errorf("lint: %s:%d: want \"function count message\", got %q", path, i+1, line)
+		}
+		k := noallocKey{fn, msg}
+		if seen[k] {
+			return nil, fmt.Errorf("lint: %s:%d: duplicate entry for %s %q", path, i+1, fn, msg)
+		}
+		seen[k] = true
+		out = append(out, allowEntry{noallocCount{k, n}, i + 1})
 	}
 	return out, nil
-}
-
-// splitEscapeLine recovers a token.Position and the enclosing annotated
-// function's name from a canonical escape line.
-func splitEscapeLine(l string, funcs []NoallocFunc, moduleDir string) (token.Position, string, string) {
-	m := escapeLine.FindStringSubmatch(l)
-	if m == nil {
-		return token.Position{Filename: l}, l, "?"
-	}
-	lineNo, _ := strconv.Atoi(m[2])
-	col, _ := strconv.Atoi(m[3])
-	pos := token.Position{Filename: m[1], Line: lineNo, Column: col}
-	abs := m[1]
-	if !filepath.IsAbs(abs) {
-		abs = filepath.Join(moduleDir, filepath.FromSlash(abs))
-	}
-	name := "?"
-	for _, f := range funcs {
-		if abs == f.File && lineNo >= f.Start && lineNo <= f.End {
-			name = f.Name
-			break
-		}
-	}
-	return pos, m[4], name
 }

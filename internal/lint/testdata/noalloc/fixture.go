@@ -1,10 +1,10 @@
 // Package noalloc holds golden fixtures for the source half of the
-// noalloc analyzer (directive placement; the escape-analysis half is
+// noalloc analyzer (directive placement; the compiler-backed half is
 // exercised against canned compiler output in noalloc_test.go).
 package noalloc
 
 // hot is properly annotated: a doc-comment directive on a function with
-// a body. The escape check picks it up; no source finding.
+// a body. The compiler check picks it up; no source finding.
 //
 //hnow:noalloc
 func hot(xs []int64) int64 {

@@ -95,21 +95,32 @@ func (*LinkModel) Name() string { return "wan" }
 // distinguished by their latency rows and columns.
 func (*LinkModel) TypeSymmetric() bool { return false }
 
-// Validate implements CostModel.
+// Validate implements CostModel. Besides the shape and positivity of the
+// matrix, it bounds n·(max send + max recv + max off-diagonal latency)
+// by MaxCost, the set's own cost bound with the matrix maximum as its
+// latency, so no link-model time sum can overflow.
 func (m *LinkModel) Validate(set *MulticastSet) error {
 	n := len(set.Nodes)
 	if len(m.Lat) != n {
 		return fmt.Errorf("model: latency matrix has %d rows for %d nodes", len(m.Lat), n)
 	}
+	var maxLat int64
 	for u, row := range m.Lat {
 		if len(row) != n {
 			return fmt.Errorf("model: latency row %d has %d entries for %d nodes", u, len(row), n)
 		}
 		for v, l := range row {
-			if u != v && l < 1 {
+			if u == v {
+				continue
+			}
+			if l < 1 {
 				return fmt.Errorf("model: latency %d->%d is %d (must be >= 1)", u, v, l)
 			}
+			maxLat = max(maxLat, l)
 		}
+	}
+	if _, ok := set.costBoundAt(maxLat); !ok {
+		return fmt.Errorf("model: %d nodes × (max send + max recv + max latency) exceeds %d", n, int64(MaxCost))
 	}
 	return nil
 }
@@ -153,10 +164,10 @@ func (m *LinkModel) EvalInto(sch *Schedule, tm *Times) error {
 }
 
 // wanChildTimes is kernChildTimes with a per-child latency gather: the
-// link-model engine path's child fill. It lives here rather than in
-// kernels.go because the latency gather defeats bounds-check elimination
-// (latRow is indexed by occupant id, not position) and the CI BCE guard
-// diffs kernels.go only.
+// link-model engine path's child fill. It carries no //hnow:noalloc
+// annotation, so hnowlint does not pin its bounds checks: the latency
+// gather defeats bounds-check elimination (latRow is indexed by
+// occupant id, not position).
 func wanChildTimes(d, r, rc []int64, occ []NodeID, latRow []int64, base, sv int64) {
 	r = r[:len(d)]
 	rc = rc[:len(d)]
@@ -411,10 +422,14 @@ func (NodeModel) Name() string { return "node" }
 // TypeSymmetric implements CostModel.
 func (NodeModel) TypeSymmetric() bool { return true }
 
-// Validate implements CostModel.
+// Validate implements CostModel. Lambda stands in for the set's latency
+// in its cost bound, which must stay within MaxCost.
 func (m NodeModel) Validate(set *MulticastSet) error {
 	if m.Lambda < 0 {
 		return fmt.Errorf("model: node-model lambda must be >= 0, got %d", m.Lambda)
+	}
+	if _, ok := set.costBoundAt(m.Lambda); !ok {
+		return fmt.Errorf("model: %d nodes × (max send + max recv + lambda) exceeds %d", len(set.Nodes), int64(MaxCost))
 	}
 	return nil
 }

@@ -272,3 +272,24 @@ func TestPipelineSegmentsBounded(t *testing.T) {
 		t.Error("4 segments × the cost bound past MaxCost accepted")
 	}
 }
+
+// TestLatencyTermsBounded: the link model's largest off-diagonal latency
+// and the node model's lambda stand in for the set's latency in its cost
+// bound, so n·(max send + max recv + that latency) must stay within
+// MaxCost. On two unit nodes the edge is latency MaxCost/2 - 2.
+func TestLatencyTermsBounded(t *testing.T) {
+	set := &MulticastSet{Latency: 1, Nodes: []Node{{Send: 1, Recv: 1}, {Send: 1, Recv: 1}}}
+	edge := int64(MaxCost/2 - 2)
+	for _, c := range []struct {
+		lat int64
+		ok  bool
+	}{{edge, true}, {edge + 1, false}, {1 << 62, false}} {
+		link := &LinkModel{Lat: [][]int64{{0, c.lat}, {1, 0}}}
+		if err := link.Validate(set); (err == nil) != c.ok {
+			t.Errorf("LinkModel latency %d: Validate = %v, want ok=%v", c.lat, err, c.ok)
+		}
+		if err := (NodeModel{Lambda: c.lat}).Validate(set); (err == nil) != c.ok {
+			t.Errorf("NodeModel lambda %d: Validate = %v, want ok=%v", c.lat, err, c.ok)
+		}
+	}
+}

@@ -3,15 +3,16 @@ package model
 // The engine's bandwidth-bound inner loops, extracted so they compile to
 // straight-line streaming code: every kernel reslices its rows to a
 // common length before the loop, which lets the compiler's prove pass
-// eliminate all bounds checks (guarded in CI by building this package
-// with -gcflags=-d=ssa/check_bce and diffing the kernel hits against a
-// committed allowlist), and keeps the loop bodies free of per-iteration
-// branches on node metadata — the running maxima go through the max
-// builtin, which lowers to conditional moves on amd64/arm64 instead of
-// branches. The straightforward scalar forms are kept in
-// kernels_ref_test.go as the parity oracle for randomized cross-checks;
-// the engine-level oracle remains model.ComputeTimes (engine parity
-// suite + FuzzRecomputeFrom/FuzzBatchEval).
+// eliminate all bounds checks, and keeps the loop bodies free of
+// per-iteration branches on node metadata — the running maxima go
+// through the max builtin, which lowers to conditional moves on
+// amd64/arm64 instead of branches. Each kernel is //hnow:noalloc, so
+// `hnowlint -escape` pins its remaining check_bce hits (the prologue
+// reslices) in .github/noalloc_allowlist.txt. The straightforward scalar
+// forms are kept in kernels_ref_test.go as the parity oracle for
+// randomized cross-checks; the engine-level oracle remains
+// model.ComputeTimes (engine parity suite + FuzzRecomputeFrom/
+// FuzzBatchEval).
 
 // kernChildTimes fills one parent's contiguous children span with
 // delivery and reception times by strength-reduced accumulation:

@@ -82,15 +82,22 @@ const MaxCost = math.MaxInt64 / 8
 // ok=false when it exceeds MaxCost. Overheads and latency must be
 // positive.
 func (s *MulticastSet) costBound() (bound int64, ok bool) {
+	return s.costBoundAt(s.Latency)
+}
+
+// costBoundAt is costBound with latency lat in place of the set's own:
+// cost models whose latency term is not s.Latency (a matrix maximum, a
+// node-model lambda) bound their instances with it. lat must be >= 0.
+func (s *MulticastSet) costBoundAt(lat int64) (bound int64, ok bool) {
 	var maxSend, maxRecv int64
 	for _, n := range s.Nodes {
 		maxSend = max(maxSend, n.Send)
 		maxRecv = max(maxRecv, n.Recv)
 	}
-	if maxSend > MaxCost || maxRecv > MaxCost || s.Latency > MaxCost {
+	if maxSend > MaxCost || maxRecv > MaxCost || lat > MaxCost {
 		return 0, false
 	}
-	hop, n := maxSend+maxRecv+s.Latency, int64(len(s.Nodes)) // hop <= 3·MaxCost
+	hop, n := maxSend+maxRecv+lat, int64(len(s.Nodes)) // hop <= 3·MaxCost
 	if hop > MaxCost/n {
 		return 0, false
 	}

@@ -48,8 +48,19 @@ type resolvedModel struct {
 	key string          // "" for base; otherwise e.g. "wan:<digest>"
 }
 
+// maxWANNodes caps a generated WAN instance's node count and type count.
+// A spec is a few bytes of JSON, but its latency matrix is n², so the
+// request body does not bound it the way it bounds an explicit "lat".
+const maxWANNodes = 2048
+
 // generate builds the clustered topology the spec describes.
 func (w *WANSpec) generate() (*wan.Topology, error) {
+	if w.Clusters > 0 && w.NodesPerCluster > 0 && w.Clusters > maxWANNodes/w.NodesPerCluster {
+		return nil, fmt.Errorf("wan spec: %d clusters × %d nodes exceeds %d nodes", w.Clusters, w.NodesPerCluster, maxWANNodes)
+	}
+	if w.K > maxWANNodes {
+		return nil, fmt.Errorf("wan spec: k=%d exceeds %d types", w.K, maxWANNodes)
+	}
 	return wan.GenerateClustered(wan.ClusteredConfig{
 		Clusters: w.Clusters, NodesPerCluster: w.NodesPerCluster,
 		LANLatency: w.LANLatency, WANLatency: w.WANLatency,

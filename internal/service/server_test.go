@@ -42,7 +42,7 @@ func post(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func rawSet(t *testing.T, set *model.MulticastSet) json.RawMessage {
+func rawSet(t testing.TB, set *model.MulticastSet) json.RawMessage {
 	t.Helper()
 	data, err := trace.MarshalSetJSON(set)
 	if err != nil {
@@ -200,6 +200,58 @@ func TestOversizedInstanceRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("segments=1<<40: HTTP %d, want 400 (%s)", resp.StatusCode, out)
 	}
+}
+
+// TestOversizedWANRejected: a WAN instance whose set is tiny but whose
+// off-diagonal latencies are 2^62 overflows int64 on the first hop chain
+// (the chain rt wrapped to 7·2^62+14 before the model bounded its
+// matrix), so an explicit "lat" matrix and a "wan" generator spec that
+// produce one are refused as invalid. A spec is a few bytes that expand
+// to an n² matrix, so its node and type counts are capped too, and a
+// max_send past MaxCost (whose type draws overflow) is refused instead
+// of panicking the handler.
+func TestOversizedWANRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	set, lat := overflowWAN(t)
+	spec := func(w WANSpec) ModelParams { return ModelParams{Model: "wan", WAN: &w} }
+	for name, mp := range map[string]ModelParams{
+		"2^62 lat":        {Model: "wan", Lat: lat},
+		"2^62 spec":       spec(WANSpec{Clusters: 2, NodesPerCluster: 4, LANLatency: 1, WANLatency: 1 << 62}),
+		"spec nodes":      spec(WANSpec{Clusters: 1 << 20, NodesPerCluster: 1 << 20, LANLatency: 1, WANLatency: 2}),
+		"spec nodes wrap": spec(WANSpec{Clusters: 1 << 62, NodesPerCluster: 4, LANLatency: 1, WANLatency: 2}),
+		"spec types":      spec(WANSpec{Clusters: 2, NodesPerCluster: 2, LANLatency: 1, WANLatency: 2, K: 1 << 40}),
+		"spec max send":   spec(WANSpec{Clusters: 2, NodesPerCluster: 2, LANLatency: 1, WANLatency: 2, K: 1, MaxSend: 1<<63 - 1}),
+	} {
+		reqSet := set
+		if mp.WAN != nil {
+			reqSet = nil
+		}
+		for path, body := range map[string]any{
+			"/v1/schedule": ScheduleRequest{Set: reqSet, ModelParams: mp},
+			"/v1/compare":  CompareRequest{Set: reqSet, ModelParams: mp},
+		} {
+			if resp, out := post(t, ts.URL+path, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: HTTP %d, want 400 (%s)", path, name, resp.StatusCode, out)
+			}
+		}
+	}
+}
+
+// overflowWAN is eight unit nodes with every off-diagonal latency 2^62:
+// link-model times overflow int64 unless the matrix is bounded.
+func overflowWAN(t testing.TB) (json.RawMessage, [][]int64) {
+	nodes := make([]model.Node, 8)
+	lat := make([][]int64, len(nodes))
+	for u := range nodes {
+		nodes[u] = model.Node{Send: 1, Recv: 1}
+		lat[u] = make([]int64, len(nodes))
+		for v := range lat[u] {
+			if u != v {
+				lat[u][v] = 1 << 62
+			}
+		}
+	}
+	return rawSet(t, &model.MulticastSet{Latency: 1, Nodes: nodes}), lat
 }
 
 func TestCompare(t *testing.T) {

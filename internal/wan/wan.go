@@ -201,6 +201,11 @@ func GenerateClustered(cfg ClusteredConfig) (*Topology, error) {
 	if cfg.LANLatency < 1 || cfg.WANLatency < cfg.LANLatency {
 		return nil, fmt.Errorf("wan: latencies must satisfy 1 <= LAN <= WAN")
 	}
+	if cfg.MaxSend > model.MaxCost {
+		// The type draws add up to MaxSend plus a same-sized receive
+		// overhead; past MaxCost those sums overflow.
+		return nil, fmt.Errorf("wan: MaxSend %d exceeds %d", cfg.MaxSend, int64(model.MaxCost))
+	}
 	k := cfg.K
 	if k <= 0 {
 		k = 2
