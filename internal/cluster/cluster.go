@@ -211,6 +211,9 @@ func Generate(cfg GenConfig) (*model.MulticastSet, error) {
 	if cfg.RatioMin < 0 || cfg.RatioMax < cfg.RatioMin {
 		return nil, fmt.Errorf("cluster: invalid ratio range [%v, %v]", cfg.RatioMin, cfg.RatioMax)
 	}
+	if int64(cfg.K) > cfg.MaxSend {
+		return nil, fmt.Errorf("cluster: %d distinct send overheads cannot be drawn from [1,%d]", cfg.K, cfg.MaxSend)
+	}
 	if cfg.SourceType >= cfg.K {
 		return nil, fmt.Errorf("cluster: source type %d out of range [0,%d)", cfg.SourceType, cfg.K)
 	}

@@ -204,6 +204,14 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(GenConfig{N: 1, RatioMin: 2, RatioMax: 1}); err == nil {
 		t.Error("inverted ratio range accepted")
 	}
+	// K distinct send overheads cannot come from fewer than K values; the
+	// draw loop used to spin forever here.
+	if _, err := Generate(GenConfig{N: 4, K: 4, MaxSend: 3}); err == nil {
+		t.Error("K > MaxSend accepted")
+	}
+	if _, err := Generate(GenConfig{N: 4, K: 3, MaxSend: 3}); err != nil {
+		t.Errorf("K == MaxSend rejected: %v", err)
+	}
 }
 
 // TestGenerateAlwaysValidQuick property-tests the generator across seeds

@@ -1,8 +1,9 @@
 package heur
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -34,23 +35,57 @@ type BeamSearch struct {
 // Name implements model.Scheduler.
 func (BeamSearch) Name() string { return "beam-search" }
 
-// beamState is a partial schedule under construction.
-type beamState struct {
+// beamSlab holds the beam's partial schedules as rows of flat arrays:
+// state i owns entries [i*n, (i+1)*n) of parent, sends and reception.
+type beamSlab struct {
 	parent    []model.NodeID // parent assignment (-1 = unattached)
-	rank      []int64        // child rank at the parent
 	sends     []int64        // transmissions scheduled per node
 	reception []int64        // r(v) for attached nodes
-	maxRecep  int64          // partial completion time
+	maxRecep  []int64        // partial completion time per state
+	sumRecep  []int64        // sum of reception times per state
 }
 
-func (s *beamState) clone() *beamState {
-	return &beamState{
-		parent:    append([]model.NodeID(nil), s.parent...),
-		rank:      append([]int64(nil), s.rank...),
-		sends:     append([]int64(nil), s.sends...),
-		reception: append([]int64(nil), s.reception...),
-		maxRecep:  s.maxRecep,
+// resize makes room for rows states of n nodes, keeping the backing
+// arrays when they are large enough.
+func (s *beamSlab) resize(rows, n int) {
+	s.parent = resizeSlab(s.parent, rows*n)
+	s.sends = resizeSlab(s.sends, rows*n)
+	s.reception = resizeSlab(s.reception, rows*n)
+	s.maxRecep = resizeSlab(s.maxRecep, rows)
+	s.sumRecep = resizeSlab(s.sumRecep, rows)
+}
+
+func resizeSlab[T any](xs []T, size int) []T {
+	if cap(xs) < size {
+		return make([]T, size)
 	}
+	return xs[:size]
+}
+
+// beamOption is one sender choice for the node being inserted.
+type beamOption struct {
+	key  int64 // delivery completion of the new assignment
+	from model.NodeID
+}
+
+// beamChild describes one expansion of a beam state; only the children
+// that survive the width cut are written out as slab rows.
+type beamChild struct {
+	state    int
+	from     model.NodeID
+	key      int64
+	maxRecep int64
+	sumRecep int64
+}
+
+// compareBeamChildren orders children for the width cut: primary key the
+// partial completion, secondary the sum of reception times (less total
+// lateness keeps more slack for the remaining insertions).
+func compareBeamChildren(a, b beamChild) int {
+	if c := cmp.Compare(a.maxRecep, b.maxRecep); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.sumRecep, b.sumRecep)
 }
 
 // Schedule implements model.Scheduler.
@@ -76,73 +111,80 @@ func (b BeamSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 	n := len(set.Nodes)
 	order := set.SortedDestinations()
 	L := set.Latency
-	init := &beamState{
-		parent:    make([]model.NodeID, n),
-		rank:      make([]int64, n),
-		sends:     make([]int64, n),
-		reception: make([]int64, n),
+	var cur, nxt beamSlab
+	cur.resize(1, n)
+	for i := range cur.parent {
+		cur.parent[i] = -1
 	}
-	for i := range init.parent {
-		init.parent[i] = -1
-	}
-	init.parent[0] = 0 // mark attached; the root's stored parent is unused
-	beam := []*beamState{init}
+	cur.parent[0] = 0 // mark attached; the root's stored parent is unused
+	states := 1
+	opts := make([]beamOption, 0, min(branch, n))
+	var kids []beamChild
 	for _, pi := range order {
-		type cand struct {
-			state *beamState
-			key   int64 // delivery completion of the new assignment
-			from  model.NodeID
-		}
-		var next []*beamState
-		for _, st := range beam {
-			// Collect sender options: attached nodes by next delivery
-			// completion, keeping the `branch` earliest distinct keys.
-			var options []cand
+		recv := set.Nodes[pi].Recv
+		kids = kids[:0]
+		for s := 0; s < states; s++ {
+			parent := cur.parent[s*n : (s+1)*n]
+			sends := cur.sends[s*n : (s+1)*n]
+			reception := cur.reception[s*n : (s+1)*n]
+			// Keep the `branch` attached senders with the earliest next
+			// delivery completion, ordered by (key, from). Senders are
+			// visited in ascending ID, so an equal key never displaces a
+			// kept option.
+			opts = opts[:0]
 			for v := 0; v < n; v++ {
-				if st.parent[v] == -1 && v != 0 {
+				if parent[v] == -1 {
 					continue
 				}
 				lt := L
 				if lat != nil {
 					lt = lat[v][pi]
 				}
-				key := st.reception[v] + (st.sends[v]+1)*set.Nodes[v].Send + lt
-				options = append(options, cand{state: st, key: key, from: model.NodeID(v)})
-			}
-			sort.Slice(options, func(i, j int) bool {
-				if options[i].key != options[j].key {
-					return options[i].key < options[j].key
+				key := reception[v] + (sends[v]+1)*set.Nodes[v].Send + lt
+				if len(opts) == branch {
+					if key >= opts[branch-1].key {
+						continue
+					}
+				} else {
+					opts = append(opts, beamOption{})
 				}
-				return options[i].from < options[j].from
-			})
-			if len(options) > branch {
-				options = options[:branch]
-			}
-			for _, op := range options {
-				ns := op.state.clone()
-				ns.sends[op.from]++
-				ns.parent[pi] = op.from
-				ns.rank[pi] = ns.sends[op.from]
-				ns.reception[pi] = op.key + set.Nodes[pi].Recv
-				if ns.reception[pi] > ns.maxRecep {
-					ns.maxRecep = ns.reception[pi]
+				i := len(opts) - 1
+				for ; i > 0 && opts[i-1].key > key; i-- {
+					opts[i] = opts[i-1]
 				}
-				next = append(next, ns)
+				opts[i] = beamOption{key: key, from: model.NodeID(v)}
+			}
+			for _, op := range opts {
+				r := op.key + recv
+				kids = append(kids, beamChild{
+					state: s, from: op.from, key: op.key,
+					maxRecep: max(cur.maxRecep[s], r),
+					sumRecep: cur.sumRecep[s] + r,
+				})
 			}
 		}
-		// Keep the Width most promising states: primary key partial
-		// completion, secondary the sum of reception times (less total
-		// lateness keeps more slack for the remaining insertions).
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].maxRecep != next[j].maxRecep {
-				return next[i].maxRecep < next[j].maxRecep
-			}
-			return sumInt64(next[i].reception) < sumInt64(next[j].reception)
-		})
-		if len(next) > width {
-			next = next[:width]
+		// Keep the Width most promising children. The sort is unstable and
+		// real ties occur, so the children are sorted in generation order:
+		// that order and the pdqsort permutation decide the ties, and the
+		// parity suite pins both.
+		slices.SortFunc(kids, compareBeamChildren)
+		if len(kids) > width {
+			kids = kids[:width]
 		}
-		beam = next
+		nxt.resize(len(kids), n)
+		for i, c := range kids {
+			src, dst := c.state*n, i*n
+			copy(nxt.parent[dst:dst+n], cur.parent[src:src+n])
+			copy(nxt.sends[dst:dst+n], cur.sends[src:src+n])
+			copy(nxt.reception[dst:dst+n], cur.reception[src:src+n])
+			nxt.sends[dst+c.from]++
+			nxt.parent[dst+pi] = c.from
+			nxt.reception[dst+pi] = c.key + recv
+			nxt.maxRecep[i] = c.maxRecep
+			nxt.sumRecep[i] = c.sumRecep
+		}
+		cur, nxt = nxt, cur
+		states = len(kids)
 	}
 	// Materialize every beam candidate, leaf-reverse it, keep the best.
 	// Candidates share one reusable engine whose flat layout is rebuilt
@@ -157,8 +199,8 @@ func (b BeamSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 			best, bestRT = sch, rt
 		}
 	}
-	for _, st := range beam {
-		sch, err := materialize(set, st)
+	for s := 0; s < states; s++ {
+		sch, err := materialize(set, order, cur.parent[s*n:(s+1)*n])
 		if err != nil {
 			return nil, err
 		}
@@ -196,41 +238,16 @@ func (b BeamSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 	return best, nil
 }
 
-func materialize(set *model.MulticastSet, st *beamState) (*model.Schedule, error) {
-	n := len(set.Nodes)
-	kids := make([][]model.NodeID, n)
-	for v := 1; v < n; v++ {
-		p := st.parent[v]
-		if p == -1 {
-			return nil, fmt.Errorf("heur: beam state incomplete at node %d", v)
-		}
-		kids[p] = append(kids[p], model.NodeID(v))
-	}
-	for p := range kids {
-		list := kids[p]
-		sort.Slice(list, func(i, j int) bool { return st.rank[list[i]] < st.rank[list[j]] })
-	}
+// materialize builds the tree of one finished beam state. Replaying the
+// insertions in order appends each parent's children in rank order.
+func materialize(set *model.MulticastSet, order, parent []model.NodeID) (*model.Schedule, error) {
 	sch := model.NewSchedule(set)
-	queue := []model.NodeID{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c := range kids[v] {
-			if err := sch.AddChild(v, c); err != nil {
-				return nil, err
-			}
-			queue = append(queue, c)
+	for _, v := range order {
+		if err := sch.AddChild(parent[v], v); err != nil {
+			return nil, err
 		}
 	}
 	return sch, nil
-}
-
-func sumInt64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 var _ model.Scheduler = BeamSearch{}

@@ -248,9 +248,9 @@ func (js *jobStore) start(req SweepRequest) (Job, error) {
 		return Job{}, fmt.Errorf("k %d exceeds the server cap %d", req.K, js.caps.maxK)
 	}
 	// The generator draws K distinct send overheads from [1, MaxSend]
-	// (default 64 when the request omits it); a K beyond that range could
-	// never terminate, so reject it up front — the effective default must
-	// be checked too, or a raised SweepMaxK re-opens the livelock.
+	// (default 64 when the request omits it) and rejects a K beyond that
+	// range itself; checking here too, against the effective default,
+	// turns it into a 400 at submission rather than a failed job.
 	maxSend := req.MaxSend
 	if maxSend <= 0 {
 		maxSend = 64 // cluster.GenConfig's fill() default

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/model"
@@ -8,7 +9,8 @@ import (
 
 // FuzzUnmarshalJSON hardens the schedule decoder against malformed input:
 // it must never panic, and anything it accepts must be a valid schedule
-// that re-encodes losslessly.
+// that re-encodes losslessly, to the same bytes as the json.MarshalIndent
+// reference encoder.
 func FuzzUnmarshalJSON(f *testing.F) {
 	fast := model.Node{Send: 1, Recv: 1}
 	slow := model.Node{Send: 2, Recv: 3}
@@ -29,6 +31,7 @@ func FuzzUnmarshalJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"latency":1,"nodes":[{"send":1,"recv":1}],"edges":[]}`))
 	f.Add([]byte(`{"latency":1,"nodes":[{"send":1,"recv":1},{"send":1,"recv":1}],"edges":[[0,1]]}`))
+	f.Add([]byte(`{"latency":7,"nodes":[{"send":1099511627776,"recv":1099511627777,"name":"<&>\"\u00e9\u0000"},{"send":1099511627776,"recv":1099511627777,"name":"\u2028"}],"edges":[[0,1]]}`))
 	f.Add([]byte(`{"latency":-5,"nodes":[{"send":0,"recv":0}],"edges":[[9,9]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sch, err := UnmarshalJSON(data)
@@ -41,6 +44,13 @@ func FuzzUnmarshalJSON(f *testing.F) {
 		out, err := MarshalJSON(sch)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
+		}
+		want, err := marshalJSONReference(sch)
+		if err != nil {
+			t.Fatalf("reference encode failed: %v", err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("encoding differs from MarshalIndent\ngot:\n%s\nwant:\n%s", out, want)
 		}
 		back, err := UnmarshalJSON(out)
 		if err != nil {

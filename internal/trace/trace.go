@@ -4,10 +4,13 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -106,27 +109,90 @@ func MarshalJSON(sch *model.Schedule) ([]byte, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err
 	}
-	set := sch.Set
-	js := jsonSchedule{Latency: set.Latency}
-	for _, n := range set.Nodes {
-		js.Nodes = append(js.Nodes, jsonNode{Send: n.Send, Recv: n.Recv, Name: n.Name})
-	}
-	// BFS emission keeps parents before children.
-	queue := []model.NodeID{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c := range sch.Children(v) {
-			js.Edges = append(js.Edges, [2]int{int(v), int(c)})
-			queue = append(queue, c)
-		}
-	}
 	var tm model.Times
 	if err := model.EvalTimes(sch, &tm); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	js.Meta = &jsonTiming{RT: tm.RT, DT: tm.DT}
-	return json.MarshalIndent(js, "", "  ")
+	return encode(sch.Set, sch, &tm), nil
+}
+
+// encodeBufs holds appendJSON scratch buffers. encode returns an exact-size
+// copy, so an encoding kept in a cache carries no slack capacity.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func encode(set *model.MulticastSet, sch *model.Schedule, tm *model.Times) []byte {
+	bp := encodeBufs.Get().(*[]byte)
+	*bp = appendJSON((*bp)[:0], set, sch, tm)
+	out := bytes.Clone(*bp)
+	encodeBufs.Put(bp)
+	return out
+}
+
+// appendJSON appends the json.MarshalIndent(js, "", "  ") encoding of the
+// jsonSchedule for set, the edges of sch (nil: no edges) and its timing
+// (nil: omitted), written by hand so the hot path skips reflection.
+// Edges are emitted in BFS order, which keeps parents before children.
+func appendJSON(b []byte, set *model.MulticastSet, sch *model.Schedule, tm *model.Times) []byte {
+	n := len(set.Nodes)
+	b = append(b, "{\n  \"latency\": "...)
+	b = strconv.AppendInt(b, set.Latency, 10)
+	b = append(b, ",\n  \"nodes\": "...)
+	if n == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, nd := range set.Nodes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {\n      \"send\": "...)
+			b = strconv.AppendInt(b, nd.Send, 10)
+			b = append(b, ",\n      \"recv\": "...)
+			b = strconv.AppendInt(b, nd.Recv, 10)
+			if nd.Name != "" {
+				name, _ := json.Marshal(nd.Name) // a string always encodes
+				b = append(b, ",\n      \"name\": "...)
+				b = append(b, name...)
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = append(b, ",\n  \"edges\": "...)
+	edges := 0
+	if sch != nil {
+		queue := append(make([]model.NodeID, 0, n), 0)
+		for i := 0; i < len(queue); i++ {
+			v := queue[i]
+			for _, c := range sch.Children(v) {
+				if edges == 0 {
+					b = append(b, '[')
+				} else {
+					b = append(b, ',')
+				}
+				edges++
+				b = append(b, "\n    [\n      "...)
+				b = strconv.AppendInt(b, int64(v), 10)
+				b = append(b, ",\n      "...)
+				b = strconv.AppendInt(b, int64(c), 10)
+				b = append(b, "\n    ]"...)
+				queue = append(queue, c)
+			}
+		}
+	}
+	if edges == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, "\n  ]"...)
+	}
+	if tm != nil {
+		b = append(b, ",\n  \"timing\": {\n    \"rt\": "...)
+		b = strconv.AppendInt(b, tm.RT, 10)
+		b = append(b, ",\n    \"dt\": "...)
+		b = strconv.AppendInt(b, tm.DT, 10)
+		b = append(b, "\n  }"...)
+	}
+	return append(b, "\n}"...)
 }
 
 // UnmarshalJSON reconstructs a schedule (and its multicast set) from the
@@ -160,11 +226,7 @@ func MarshalSetJSON(set *model.MulticastSet) ([]byte, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	js := jsonSchedule{Latency: set.Latency}
-	for _, n := range set.Nodes {
-		js.Nodes = append(js.Nodes, jsonNode{Send: n.Send, Recv: n.Recv, Name: n.Name})
-	}
-	return json.MarshalIndent(js, "", "  ")
+	return encode(set, nil, nil), nil
 }
 
 // UnmarshalSetJSON reads a multicast set written by MarshalSetJSON (or a
