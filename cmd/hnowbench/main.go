@@ -551,6 +551,39 @@ func runEngineSuite(out string, cpus []int) error {
 			}},
 		)
 	}
+	// Per-model rows: the same swap neighborhood at n=32 scored under
+	// each non-base model the engine runs, bound in the pointer form the
+	// service uses.
+	mset, err := heurSetN(32)
+	if err != nil {
+		return err
+	}
+	mmoves := swapNeighborhood(mset)
+	for _, pm := range []struct {
+		name string
+		cm   model.CostModel
+	}{
+		{"pipeline4", &model.PipelineModel{Segments: 4}},
+		{"reduce", &model.ReduceModel{}},
+		{"barrier", &model.BarrierModel{}},
+		{"node", &model.NodeModel{Lambda: 2}},
+	} {
+		msch, err := heur.SlowestFirst{}.Schedule(mset)
+		if err != nil {
+			return err
+		}
+		msch.BindModel(pm.cm)
+		cases = append(cases, benchCase{name: "engine_evalmoves_swapnbhd_n32_" + pm.name, moves: len(mmoves), fn: func(b *testing.B) {
+			var eng model.Engine
+			eng.Attach(msch)
+			outRT := make([]int64, len(mmoves))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.EvalMoves(mmoves, outRT)
+			}
+		}})
+	}
 	hs, err := heurSet()
 	if err != nil {
 		return err

@@ -79,8 +79,9 @@ func randCollectiveSchedule(t *testing.T, rng *rand.Rand, set *model.MulticastSe
 
 // TestReduceBarrierModelsMatchReferences pins model.ReduceModel and
 // model.BarrierModel to the retained reference evaluators Reduce and
-// BarrierRT on random trees — the oracle contract the generic engine path
-// is certified against for the collective objectives.
+// BarrierRT on random trees — the oracle contract EvalInto, and through it
+// the engine's reverse ready fold, is certified against for the collective
+// objectives.
 func TestReduceBarrierModelsMatchReferences(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		set, err := cluster.Generate(cluster.GenConfig{N: 13, K: 3, Seed: seed})

@@ -107,6 +107,111 @@ func TestLocalSearchParityNonDefaultBase(t *testing.T) {
 	}
 }
 
+// parityModels are the cost-model families the model-aware parity tests
+// cover. Each draws its parameter from the trial index and alternates the
+// value and pointer forms, since callers (the service among them) bind
+// either.
+var parityModels = []struct {
+	name string
+	at   func(rng *rand.Rand, trial, n int) model.CostModel
+}{
+	{"pipeline", func(_ *rand.Rand, trial, _ int) model.CostModel {
+		m := model.PipelineModel{Segments: 1 + trial%6}
+		if trial%2 == 0 {
+			return &m
+		}
+		return m
+	}},
+	{"reduce", func(_ *rand.Rand, trial, _ int) model.CostModel {
+		if trial%2 == 0 {
+			return &model.ReduceModel{}
+		}
+		return model.ReduceModel{}
+	}},
+	{"barrier", func(_ *rand.Rand, trial, _ int) model.CostModel {
+		if trial%2 == 0 {
+			return &model.BarrierModel{}
+		}
+		return model.BarrierModel{}
+	}},
+	{"node", func(_ *rand.Rand, trial, _ int) model.CostModel {
+		m := model.NodeModel{Lambda: int64(trial % 7)}
+		if trial%2 == 0 {
+			return &m
+		}
+		return m
+	}},
+	{"link", func(rng *rand.Rand, _, n int) model.CostModel {
+		// Few distinct latencies, so completion times tie often.
+		lat := make([][]int64, n)
+		for u := range lat {
+			lat[u] = make([]int64, n)
+			for v := range lat[u] {
+				if u != v {
+					lat[u][v] = int64(1 + rng.Intn(6))
+				}
+			}
+		}
+		return &model.LinkModel{Lat: lat}
+	}},
+}
+
+// TestLocalSearchParityPerModel pins LocalSearch{Model: cm} to the
+// mutate-evaluate-undo reference under every non-base cost model:
+// identical trees on 60 random networks per model family.
+func TestLocalSearchParityPerModel(t *testing.T) {
+	for _, pm := range parityModels {
+		t.Run(pm.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(737373))
+			for trial := 0; trial < 60; trial++ {
+				set := paritySet(t, rng, trial)
+				cm := pm.at(rng, trial, len(set.Nodes))
+				ls := LocalSearch{Model: cm}
+				got, err := ls.Schedule(set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := localSearchReference(ls, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("trial %d (%s): engine local search diverged from reference\nengine    %s\nreference %s",
+						trial, cm.Name(), got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestAnnealingParityPerModel is the annealing counterpart: under every
+// non-base cost model the engine-backed search must consume the RNG and
+// accept moves exactly as the reference does.
+func TestAnnealingParityPerModel(t *testing.T) {
+	for _, pm := range parityModels {
+		t.Run(pm.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(838383))
+			for trial := 0; trial < 60; trial++ {
+				set := paritySet(t, rng, trial)
+				cm := pm.at(rng, trial, len(set.Nodes))
+				an := Annealing{Seed: int64(trial)*7 + 3, Iters: 600, Model: cm}
+				got, err := an.Schedule(set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := annealingReference(an, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("trial %d (%s, seed %d): engine annealing diverged from reference\nengine    %s\nreference %s",
+						trial, cm.Name(), an.Seed, got, want)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNeighborhoodEvalMoves and BenchmarkNeighborhoodRecompute put
 // the two move-evaluation strategies side by side on the same full swap
 // neighborhood: batched engine scoring vs mutate + RecomputeFrom + undo

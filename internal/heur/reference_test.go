@@ -1,10 +1,11 @@
 package heur
 
 // This file retains the pre-engine move-at-a-time heuristic inner loops
-// (mutate, Times.RecomputeFrom, undo) verbatim as test-only references.
-// The parity suite pins the engine-backed LocalSearch and Annealing to
-// these bit for bit: same moves considered in the same order, same
-// acceptance decisions, same final tree.
+// (mutate, evaluate the whole tree under the cost model, undo) as
+// test-only references. The parity suite pins the engine-backed
+// LocalSearch and Annealing to these bit for bit under every cost model:
+// same moves considered in the same order, same acceptance decisions,
+// same final tree.
 
 import (
 	"fmt"
@@ -15,45 +16,72 @@ import (
 	"repro/internal/model"
 )
 
+// referenceStart mirrors the searches' shared setup: the default base
+// scheduler for the model, the model binding (or adoption of the base
+// scheduler's own binding), and the same-type swap pruning rule.
+func referenceStart(base model.Scheduler, cm model.CostModel, set *model.MulticastSet) (*model.Schedule, bool, error) {
+	if base == nil {
+		if model.IsBase(cm) {
+			base = core.Greedy{Reversal: true}
+		} else {
+			base = ModelGreedy{Model: cm, Reversal: true}
+		}
+	}
+	sch, err := base.Schedule(set)
+	if err != nil {
+		return nil, false, err
+	}
+	if model.IsBase(cm) {
+		cm = sch.Model()
+	} else {
+		sch.BindModel(cm)
+	}
+	return sch, model.IsBase(cm) || cm.TypeSymmetric(), nil
+}
+
+// referenceRT evaluates sch from scratch under its bound model.
+func referenceRT(sch *model.Schedule, tm *model.Times) (int64, error) {
+	if err := model.EvalTimes(sch, tm); err != nil {
+		return 0, err
+	}
+	return tm.RT, nil
+}
+
 // localSearchReference is the pre-engine LocalSearch.Schedule inner loop.
 func localSearchReference(l LocalSearch, set *model.MulticastSet) (*model.Schedule, error) {
-	base := l.Base
-	if base == nil {
-		base = core.Greedy{Reversal: true}
-	}
 	rounds := l.MaxRounds
 	if rounds <= 0 {
 		rounds = 50
 	}
-	sch, err := base.Schedule(set)
+	sch, skipSame, err := referenceStart(l.Base, l.Model, set)
 	if err != nil {
 		return nil, err
 	}
 	var tm model.Times
-	model.ComputeTimesInto(sch, &tm)
-	cur := tm.RT
+	cur, err := referenceRT(sch, &tm)
+	if err != nil {
+		return nil, err
+	}
 	n := len(set.Nodes)
 	for round := 0; round < rounds; round++ {
 		improved := false
 		for a := 1; a < n && !improved; a++ {
 			for b := a + 1; b < n && !improved; b++ {
-				if set.Nodes[a] == set.Nodes[b] {
+				if skipSame && set.Nodes[a] == set.Nodes[b] {
 					continue
 				}
 				if err := sch.SwapNodes(a, b); err != nil {
 					return nil, err
 				}
-				tm.RecomputeFrom(sch, a)
-				tm.RecomputeFrom(sch, b)
-				if tm.RT < cur {
-					cur = tm.RT
+				rt, err := referenceRT(sch, &tm)
+				if err != nil {
+					return nil, err
+				}
+				if rt < cur {
+					cur = rt
 					improved = true
-				} else {
-					if err := sch.SwapNodes(a, b); err != nil {
-						return nil, err
-					}
-					tm.RecomputeFrom(sch, a)
-					tm.RecomputeFrom(sch, b)
+				} else if err := sch.SwapNodes(a, b); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -80,10 +108,12 @@ func localSearchReference(l LocalSearch, set *model.MulticastSet) (*model.Schedu
 					}
 					continue
 				}
-				tm.RecomputeFrom(sch, oldParent)
-				tm.RecomputeFrom(sch, leaf)
-				if tm.RT < cur {
-					cur = tm.RT
+				rt, err := referenceRT(sch, &tm)
+				if err != nil {
+					return nil, err
+				}
+				if rt < cur {
+					cur = rt
 					improved = true
 				} else {
 					if _, _, err := sch.RemoveLeaf(leaf); err != nil {
@@ -92,8 +122,6 @@ func localSearchReference(l LocalSearch, set *model.MulticastSet) (*model.Schedu
 					if err := sch.InsertChild(oldParent, leaf, oldIdx); err != nil {
 						return nil, err
 					}
-					tm.RecomputeFrom(sch, oldParent)
-					tm.RecomputeFrom(sch, leaf)
 				}
 			}
 		}
@@ -118,7 +146,7 @@ func annealingReference(a Annealing, set *model.MulticastSet) (*model.Schedule, 
 		seed = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	sch, err := core.ScheduleWithReversal(set)
+	sch, skipSame, err := referenceStart(a.Base, a.Model, set)
 	if err != nil {
 		return nil, err
 	}
@@ -127,8 +155,11 @@ func annealingReference(a Annealing, set *model.MulticastSet) (*model.Schedule, 
 		return sch, nil
 	}
 	var tm model.Times
-	model.ComputeTimesInto(sch, &tm)
-	cur := float64(tm.RT)
+	rt0, err := referenceRT(sch, &tm)
+	if err != nil {
+		return nil, err
+	}
+	cur := float64(rt0)
 	best := sch.Clone()
 	bestRT := cur
 	t0 := a.T0
@@ -145,15 +176,17 @@ func annealingReference(a Annealing, set *model.MulticastSet) (*model.Schedule, 
 		}
 		x := 1 + rng.Intn(n-1)
 		y := 1 + rng.Intn(n-1)
-		if x == y || set.Nodes[x] == set.Nodes[y] {
+		if x == y || (skipSame && set.Nodes[x] == set.Nodes[y]) {
 			continue
 		}
 		if err := sch.SwapNodes(model.NodeID(x), model.NodeID(y)); err != nil {
 			return nil, err
 		}
-		tm.RecomputeFrom(sch, model.NodeID(x))
-		tm.RecomputeFrom(sch, model.NodeID(y))
-		rt := float64(tm.RT)
+		rtInt, err := referenceRT(sch, &tm)
+		if err != nil {
+			return nil, err
+		}
+		rt := float64(rtInt)
 		accept := rt <= cur || rng.Float64() < math.Exp((cur-rt)/temp)
 		if accept {
 			cur = rt
@@ -163,12 +196,8 @@ func annealingReference(a Annealing, set *model.MulticastSet) (*model.Schedule, 
 					return nil, err
 				}
 			}
-		} else {
-			if err := sch.SwapNodes(model.NodeID(x), model.NodeID(y)); err != nil {
-				return nil, err
-			}
-			tm.RecomputeFrom(sch, model.NodeID(x))
-			tm.RecomputeFrom(sch, model.NodeID(y))
+		} else if err := sch.SwapNodes(model.NodeID(x), model.NodeID(y)); err != nil {
+			return nil, err
 		}
 	}
 	if err := best.Validate(); err != nil {

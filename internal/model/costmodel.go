@@ -5,12 +5,17 @@ import "fmt"
 // CostModel abstracts the objective a schedule tree is scored under. The
 // base receive-send model of the paper is one point in a family its
 // references span: per-link WAN latencies, M-segment pipelined streaming,
-// and the reverse-tree collectives (reduce, barrier). A CostModel
-// evaluates a Schedule's shape into Times; the Engine scores move
-// neighborhoods against it (with an incremental fast path for the link
-// model, whose recurrence still factors through the per-layer maxima),
-// and each scenario package retains its own ad-hoc evaluator as the
-// bit-level parity oracle for the implementations here.
+// the reverse-tree collectives (reduce, barrier) and the node model. A
+// CostModel evaluates a Schedule's shape into Times (EvalInto, the
+// from-scratch definition) and describes itself to the Engine as a
+// recurrence over the flat BFS layout (a forward recurrence M segments
+// wide, a reverse ready fold, or both), so every model is scored move by
+// move with the same incremental subtree walk. Each scenario package
+// retains its own ad-hoc evaluator as the bit-level parity oracle for the
+// implementations here.
+//
+// The interface has an unexported method, so every implementation lives
+// in this package and the Engine covers each one.
 //
 // Implementations must be stateless after construction: one CostModel
 // value is shared across goroutines by sweeps and the service.
@@ -34,12 +39,34 @@ type CostModel interface {
 	// model returns false (latency rows distinguish equal-overhead
 	// nodes).
 	TypeSymmetric() bool
+	// recurrence returns the Engine configuration that reproduces
+	// EvalInto on set.
+	recurrence(set *MulticastSet) (recurrence, error)
+}
+
+// recurrence is a cost model as the Engine runs it. The forward
+// recurrence is M = segs wide: F[p][s] is when position p is free after
+// receiving segment s, the rank-j child c of p receives segment s at
+// a_s = F[p][s] + j·send_p + lat and is free at
+// F[c][s] = max(F[c][s-1] + k_c·send_c, a_s) + recv_c, and the root sends
+// segment s from s·k_0·send_0. Delivery is a_0 and reception F[c][M-1];
+// with M = 1 this is the paper's recurrence. The reverse recurrence folds
+// each position's children from the last rank to the first,
+// busy = max(ready[c] + send_c + lat, busy) + recv_p, leaves at 0.
+type recurrence struct {
+	segs   int       // forward width M; 0 runs no forward recurrence (reduce)
+	lat    int64     // uniform latency term
+	links  [][]int64 // per-ordered-pair latency replacing lat (link model)
+	noRecv bool      // receptions are instantaneous (node model)
+	// ready adds the reverse fold. Without a forward recurrence every
+	// attached node's times are its ready time (reduce); with one, the
+	// root's ready time offsets every forward time (barrier).
+	ready bool
 }
 
 // BaseModel is the paper's receive-send model: d(w_i) = r(v) + i*osend(v)
 // + L with one global latency. A nil CostModel and BaseModel{} are
-// interchangeable everywhere; both select the engine's unmodified fast
-// path.
+// interchangeable everywhere.
 type BaseModel struct{}
 
 // Name implements CostModel.
@@ -50,6 +77,10 @@ func (BaseModel) Validate(set *MulticastSet) error { return nil }
 
 // TypeSymmetric implements CostModel.
 func (BaseModel) TypeSymmetric() bool { return true }
+
+func (BaseModel) recurrence(set *MulticastSet) (recurrence, error) {
+	return recurrence{segs: 1, lat: set.Latency}, nil
+}
 
 // EvalInto implements CostModel via ComputeTimesInto.
 func (BaseModel) EvalInto(sch *Schedule, tm *Times) error {
@@ -123,6 +154,13 @@ func (m *LinkModel) Validate(set *MulticastSet) error {
 		return fmt.Errorf("model: %d nodes × (max send + max recv + max latency) exceeds %d", n, int64(MaxCost))
 	}
 	return nil
+}
+
+func (m *LinkModel) recurrence(set *MulticastSet) (recurrence, error) {
+	if len(m.Lat) != len(set.Nodes) {
+		return recurrence{}, fmt.Errorf("model: latency matrix sized for %d nodes, set has %d", len(m.Lat), len(set.Nodes))
+	}
+	return recurrence{segs: 1, links: m.Lat}, nil
 }
 
 // EvalInto implements CostModel. Delivery/Reception carry the usual
@@ -243,6 +281,13 @@ func (m PipelineModel) Validate(set *MulticastSet) error {
 	return nil
 }
 
+func (m PipelineModel) recurrence(set *MulticastSet) (recurrence, error) {
+	if err := CheckSegments(m.Segments); err != nil {
+		return recurrence{}, err
+	}
+	return recurrence{segs: m.Segments, lat: set.Latency}, nil
+}
+
 // EvalInto implements CostModel. The tree is processed in BFS order: a
 // node's whole op sequence recv(1), send(1, kids...), recv(2), ...
 // depends only on its own per-segment arrivals, which depend only on its
@@ -324,6 +369,10 @@ func (ReduceModel) TypeSymmetric() bool { return true }
 // Validate implements CostModel.
 func (ReduceModel) Validate(set *MulticastSet) error { return nil }
 
+func (ReduceModel) recurrence(set *MulticastSet) (recurrence, error) {
+	return recurrence{lat: set.Latency, ready: true}, nil
+}
+
 // EvalInto implements CostModel.
 func (ReduceModel) EvalInto(sch *Schedule, tm *Times) error {
 	n := len(sch.Set.Nodes)
@@ -388,6 +437,10 @@ func (BarrierModel) TypeSymmetric() bool { return true }
 // Validate implements CostModel.
 func (BarrierModel) Validate(set *MulticastSet) error { return nil }
 
+func (BarrierModel) recurrence(set *MulticastSet) (recurrence, error) {
+	return recurrence{segs: 1, lat: set.Latency, ready: true}, nil
+}
+
 // EvalInto implements CostModel.
 func (BarrierModel) EvalInto(sch *Schedule, tm *Times) error {
 	computeBaseTimesInto(sch, tm)
@@ -432,6 +485,10 @@ func (m NodeModel) Validate(set *MulticastSet) error {
 		return fmt.Errorf("model: %d nodes × (max send + max recv + lambda) exceeds %d", len(set.Nodes), int64(MaxCost))
 	}
 	return nil
+}
+
+func (m NodeModel) recurrence(set *MulticastSet) (recurrence, error) {
+	return recurrence{segs: 1, lat: m.Lambda, noRecv: true}, nil
 }
 
 // EvalInto implements CostModel. Reception equals Delivery (no receive

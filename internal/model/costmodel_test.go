@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -21,20 +22,53 @@ func randLinkModel(rng *rand.Rand, n int) *LinkModel {
 	return &LinkModel{Lat: lat}
 }
 
-// pickModel maps a fuzzer byte to a cost model over n nodes.
+// pickModel maps a fuzzer byte to a cost model over n nodes. Bit 7 picks
+// the pointer form of the value-receiver models: the service and the CLIs
+// bind &PipelineModel{}, &ReduceModel{} and &BarrierModel{}, so the
+// engine's dispatch must treat both forms alike.
 func pickModel(rng *rand.Rand, sel byte, n int) CostModel {
+	ptr := sel&0x80 != 0
+	sel &= 0x7f
+	var cm CostModel
 	switch sel % 5 {
 	case 0:
 		return randLinkModel(rng, n)
 	case 1:
-		return PipelineModel{Segments: 1 + int(sel/5)%6}
+		m := PipelineModel{Segments: 1 + int(sel/5)%6}
+		cm = m
+		if ptr {
+			cm = &m
+		}
 	case 2:
-		return ReduceModel{}
+		cm = ReduceModel{}
+		if ptr {
+			cm = &ReduceModel{}
+		}
 	case 3:
-		return BarrierModel{}
+		cm = BarrierModel{}
+		if ptr {
+			cm = &BarrierModel{}
+		}
 	default:
-		return NodeModel{Lambda: int64(sel / 5 % 7)}
+		m := NodeModel{Lambda: int64(sel / 5 % 7)}
+		cm = m
+		if ptr {
+			cm = &m
+		}
 	}
+	return cm
+}
+
+// modelLabel names a model for subtests: its Name, with "-ptr" on the
+// pointer form of a value-receiver model.
+func modelLabel(cm CostModel) string {
+	if cm == nil {
+		return "base"
+	}
+	if _, link := cm.(*LinkModel); !link && reflect.TypeOf(cm).Kind() == reflect.Pointer {
+		return cm.Name() + "-ptr"
+	}
+	return cm.Name()
 }
 
 func sameTimes(t *testing.T, what string, got, want *Times) {
@@ -63,6 +97,9 @@ func FuzzCostModelEngine(f *testing.F) {
 	f.Add(uint64(9), byte(3), []byte{2, 9, 9, 1, 1, 1, 0, 0, 0})
 	f.Add(uint64(23), byte(4), []byte{0, 2, 4, 1, 5, 1})
 	f.Add(uint64(5), byte(6), []byte{0, 1, 3, 0, 2, 6, 1, 4, 0})
+	f.Add(uint64(13), byte(0x80|16), []byte{1, 2, 0, 0, 1, 3, 1, 5, 2})
+	f.Add(uint64(17), byte(0x80|2), []byte{1, 4, 0, 0, 2, 3, 1, 1, 4})
+	f.Add(uint64(31), byte(0x80|3), []byte{0, 5, 1, 1, 3, 2, 1, 6, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, sel byte, ops []byte) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		n := 2 + int(seed%22)
@@ -153,43 +190,149 @@ func kindName(k MoveKind) string {
 }
 
 // TestEngineMatchesEvalIntoPerModel is the deterministic slice of the
-// fuzz target: one mid-size random schedule per model, attach + a swap
-// commit + a relocate re-attach, every state pinned to EvalInto.
+// fuzz target: one mid-size random schedule per model, in both the value
+// and the pointer form, through attach, a swap commit and a relocate
+// re-attach, with every prediction and state pinned to EvalInto.
 func TestEngineMatchesEvalIntoPerModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	set := randIncrSet(rng, 14)
+	pipe, node := PipelineModel{Segments: 8}, NodeModel{Lambda: 3}
 	models := []CostModel{
 		randLinkModel(rng, len(set.Nodes)),
-		PipelineModel{Segments: 8},
-		ReduceModel{},
-		BarrierModel{},
-		NodeModel{Lambda: 3},
+		pipe, &pipe,
+		ReduceModel{}, &ReduceModel{},
+		BarrierModel{}, &BarrierModel{},
+		node, &node,
 	}
 	for _, cm := range models {
-		t.Run(cm.Name(), func(t *testing.T) {
+		t.Run(modelLabel(cm), func(t *testing.T) {
 			sch := randIncrSchedule(rng, set)
 			sch.BindModel(cm)
 			var eng Engine
 			eng.Attach(sch)
-			var ref Times
-			if err := cm.EvalInto(sch, &ref); err != nil {
-				t.Fatal(err)
+			var ref, got Times
+			check := func(what string, predDT, predRT int64) {
+				t.Helper()
+				if err := cm.EvalInto(sch, &ref); err != nil {
+					t.Fatal(err)
+				}
+				if predDT != ref.DT || predRT != ref.RT {
+					t.Fatalf("%s: predicted DT/RT = %d/%d, EvalInto %d/%d", what, predDT, predRT, ref.DT, ref.RT)
+				}
+				if eng.DT() != ref.DT || eng.RT() != ref.RT {
+					t.Fatalf("%s: engine DT/RT = %d/%d, EvalInto %d/%d", what, eng.DT(), eng.RT(), ref.DT, ref.RT)
+				}
+				eng.TimesInto(&got)
+				sameTimes(t, what, &got, &ref)
 			}
-			if eng.RT() != ref.RT || eng.DT() != ref.DT {
-				t.Fatalf("attach: engine DT/RT = %d/%d, EvalInto %d/%d", eng.DT(), eng.RT(), ref.DT, ref.RT)
-			}
-			_, predRT := eng.Eval(SwapMove(1, 2))
+			check("attach", eng.DT(), eng.RT())
+
+			dt, rt := eng.Eval(SwapMove(1, 2))
 			if err := sch.SwapNodes(1, 2); err != nil {
 				t.Fatal(err)
 			}
 			eng.CommitSwap(1, 2)
+			check("swap", dt, rt)
+
+			// Relocate the deepest leaf under the root: the leaf leaves its
+			// parent's children list and becomes the root's last child.
+			depth := func(v NodeID) int {
+				d := 0
+				for ; v != 0; v = sch.Parent(v) {
+					d++
+				}
+				return d
+			}
+			leaf := NodeID(-1)
+			for v := 1; v < len(set.Nodes); v++ {
+				if sch.IsLeaf(v) && sch.Parent(v) != 0 && (leaf < 0 || depth(v) > depth(leaf)) {
+					leaf = v
+				}
+			}
+			if leaf < 0 {
+				t.Fatal("no leaf below the root's children")
+			}
+			mv := RelocateMove(leaf, 0)
+			dt, rt = eng.Eval(mv)
+			if _, _, err := sch.RemoveLeaf(mv.A); err != nil {
+				t.Fatal(err)
+			}
+			if err := sch.InsertChild(mv.B, mv.A, len(sch.Children(mv.B))); err != nil {
+				t.Fatal(err)
+			}
+			eng.Attach(sch)
+			check("relocate", dt, rt)
+		})
+	}
+}
+
+// TestEvalMovesMatchesEvalIntoPerModel scores whole neighborhoods under
+// every model in both forms — all swaps, and every leaf relocation
+// including one back to the tail of its own parent — and pins each
+// prediction to applying the move and re-evaluating with EvalInto. Some
+// schedules leave destinations unattached (the barrier offsets their
+// times too). The engine must be untouched by the whole pass.
+func TestEvalMovesMatchesEvalIntoPerModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var eng Engine
+	var ref, got Times
+	for trial := 0; trial < 120; trial++ {
+		set := randIncrSet(rng, 2+rng.Intn(16))
+		n := len(set.Nodes)
+		cm := pickModel(rng, byte(rng.Intn(256)), n)
+		sch := NewSchedule(set)
+		attached := []NodeID{0}
+		keep := n
+		if trial%3 == 0 {
+			keep = 2 + rng.Intn(n-1)
+		}
+		for v := 1; v < keep; v++ {
+			sch.MustAddChild(attached[rng.Intn(len(attached))], v)
+			attached = append(attached, v)
+		}
+		sch.BindModel(cm)
+		eng.Attach(sch)
+		var moves []Move
+		for i, a := range attached[1:] {
+			for _, b := range attached[i+2:] {
+				moves = append(moves, SwapMove(a, b))
+			}
+		}
+		for _, v := range attached[1:] {
+			if !sch.IsLeaf(v) {
+				continue
+			}
+			for _, p := range attached {
+				if p != v {
+					moves = append(moves, RelocateMove(v, p))
+				}
+			}
+		}
+		out := make([]int64, len(moves))
+		eng.EvalMoves(moves, out)
+		for i, mv := range moves {
+			dt, rt := eng.Eval(mv)
+			if rt != out[i] {
+				t.Fatalf("Eval and EvalMoves disagree on %v: %d vs %d", mv, rt, out[i])
+			}
+			undo := applyMove(t, sch, mv)
 			if err := cm.EvalInto(sch, &ref); err != nil {
 				t.Fatal(err)
 			}
-			if predRT != ref.RT || eng.RT() != ref.RT {
-				t.Fatalf("swap: predicted %d, committed %d, EvalInto %d", predRT, eng.RT(), ref.RT)
+			if dt != ref.DT || rt != ref.RT {
+				t.Fatalf("trial %d %s %s %v: eval DT/RT = %d/%d, EvalInto after apply %d/%d\ntree after move %s",
+					trial, cm.Name(), kindName(mv.Kind), mv, dt, rt, ref.DT, ref.RT, sch)
 			}
-		})
+			undo()
+		}
+		if err := cm.EvalInto(sch, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if eng.DT() != ref.DT || eng.RT() != ref.RT {
+			t.Fatalf("trial %d %s: engine DT/RT after the pass = %d/%d, EvalInto %d/%d", trial, cm.Name(), eng.DT(), eng.RT(), ref.DT, ref.RT)
+		}
+		eng.TimesInto(&got)
+		sameTimes(t, cm.Name()+" post-eval", &got, &ref)
 	}
 }
 

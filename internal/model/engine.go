@@ -49,6 +49,11 @@ func RelocateMove(leaf, target NodeID) Move {
 // of at most two spans per layer and the untouched remainder of each layer
 // is covered by the precomputed running maxima.
 //
+// Every cost model runs on this layout as a recurrence (see recurrence):
+// the forward one re-walks the changed subtrees, M free times per
+// position under the pipeline model; the reverse ready fold of reduce and
+// barrier re-folds only the changed positions' ancestor chains.
+//
 // Usage: Attach builds (or rebuilds, reusing every buffer) the flat
 // mirror of a schedule; EvalMoves scores candidate moves against it
 // without mutating anything; after a move is actually applied to the
@@ -58,11 +63,26 @@ type Engine struct {
 	treeShape // flat structure, indexed by position (BFS layer order)
 
 	set *MulticastSet
-	sch *Schedule
+
+	// The bound model's recurrence, set by Attach.
+	fwd  fwdKind
+	segs int       // forward width M
+	L    int64     // uniform latency term (the node model's lambda)
+	lat  [][]int64 // link model: per-pair latency, indexed by occupant
+	rev  bool      // reverse ready fold (reduce, barrier)
 
 	// Structure-of-arrays occupant overheads and times, by position.
 	sendOf, recvOf []int64
 	d, r           []int64 // delivery / reception
+
+	// fwdRows: rows[p*M+s] is F[p][s], when p is free after receiving
+	// segment s; ks[p] = k_p·send_p, the time p spends sending one segment
+	// to all of its children. With M = 1 the row is r itself.
+	rows, ks []int64
+	// rev: ready[p] is when p has combined its subtree; done is ready[0]
+	// and offsets DT and RT (0 without the reverse fold).
+	ready []int64
+	done  int64
 
 	// Layer-local monotone aggregates. preX[j] is the running max of X
 	// over [layerStart, j) within j's layer; sufX[j] the max over
@@ -74,54 +94,65 @@ type Engine struct {
 	layPreD, layPreR       []int64
 	laySufD, laySufR       []int64
 
-	dt, rt int64
+	dt, rt int64 // forward completion times (0 without a forward recurrence)
 
 	// Eval scratch: candidate reception times for re-walked positions,
 	// validity-stamped so no per-move clearing is needed.
 	newR  []int64
 	stamp []uint32
 	gen   uint32
-
-	// Cost-model dispatch, set by Attach from the schedule's bound model.
-	// The base model leaves all three zero; the link model sets lat and
-	// runs the incremental machinery with latency-aware child fills; any
-	// other model sets generic and scores through clone-mutate-undo
-	// against CostModel.EvalInto.
-	cm      CostModel
-	lat     [][]int64
-	generic bool
-
-	gSch  *Schedule // generic path: mutable mirror of the attached schedule
-	gTm   Times     // generic path: attached schedule's times under cm
-	gEvTm Times     // generic path: per-Eval scratch times
+	// fwdRows Eval scratch: candidate rows and deliveries of re-walked
+	// positions (every position the walk reads was written by it first).
+	newRows, newD []int64
+	// rev Eval scratch: the positions re-folded in place and their
+	// attached values, restored before Eval returns.
+	undoPos []int32
+	undoVal []int64
 }
+
+// fwdKind selects the forward recurrence's child fill.
+type fwdKind uint8
+
+const (
+	fwdNone fwdKind = iota // no forward recurrence (reduce)
+	fwdBase                // M = 1 with a uniform latency: the paper's recurrence
+	fwdLink                // M = 1 with per-pair latencies
+	fwdRows                // M > 1: one row of M free times per position
+)
 
 // Attach (re)builds the engine's flat mirror of sch, reusing all internal
 // buffers: after the first call at a given instance size it allocates
 // nothing. Unattached destinations get position -1 and contribute zero
 // times, matching the ComputeTimes convention.
 //
-// Attach adopts the schedule's bound cost model (Schedule.BindModel): the
-// base model and the link model run the incremental structure-of-arrays
-// machinery (the link model's per-pair latency recurrence still factors
-// through the per-layer maxima), while the remaining models evaluate
-// through CostModel.EvalInto on an internal schedule mirror.
+// Attach adopts the schedule's bound cost model (Schedule.BindModel) and
+// configures the recurrence from it: base, link and node run the M = 1
+// forward recurrence (node with instantaneous receptions and lambda as
+// the latency), pipeline the M-wide one, reduce the reverse ready fold
+// alone and barrier both. Every later Eval, EvalMoves, CommitSwap and
+// TimesInto reproduces the model's EvalInto exactly.
 func (e *Engine) Attach(sch *Schedule) {
-	cm := sch.Model()
-	e.cm, e.lat, e.generic = cm, nil, false
-	if !IsBase(cm) {
-		if lm, ok := cm.(*LinkModel); ok {
-			e.lat = lm.Lat
-		} else {
-			e.attachGeneric(sch, cm)
-			return
-		}
-	}
 	set := sch.Set
 	n := len(set.Nodes)
-	e.set, e.sch = set, sch
-	if e.lat != nil && len(e.lat) != n {
-		panic(fmt.Sprintf("model: Attach: latency matrix sized for %d nodes, set has %d", len(e.lat), n))
+	cm := sch.Model()
+	if IsBase(cm) {
+		cm = BaseModel{}
+	}
+	rc, err := cm.recurrence(set)
+	if err != nil {
+		panic(fmt.Sprintf("model: Attach: %v", err))
+	}
+	e.set = set
+	e.segs, e.L, e.lat, e.rev = rc.segs, rc.lat, rc.links, rc.ready
+	switch {
+	case rc.segs == 0:
+		e.fwd = fwdNone
+	case rc.links != nil:
+		e.fwd = fwdLink
+	case rc.segs == 1:
+		e.fwd = fwdBase
+	default:
+		e.fwd = fwdRows
 	}
 
 	e.treeShape.build(sch)
@@ -142,10 +173,24 @@ func (e *Engine) Attach(sch *Schedule) {
 		nd := &set.Nodes[e.order[i]]
 		e.sendOf[i] = nd.Send
 		e.recvOf[i] = nd.Recv
+		if rc.noRecv {
+			e.recvOf[i] = 0
+		}
 	}
 
-	e.refreshTimes()
-	e.refreshAggregates(e.layers())
+	e.dt, e.rt, e.done = 0, 0, 0
+	switch e.fwd {
+	case fwdBase, fwdLink:
+		e.refreshTimes()
+	case fwdRows:
+		e.refreshRows()
+	}
+	if e.fwd != fwdNone {
+		e.refreshAggregates(e.layers())
+	}
+	if e.rev {
+		e.refreshReady()
+	}
 }
 
 // refreshTimes recomputes the flat delivery/reception arrays in position
@@ -166,7 +211,7 @@ func (e *Engine) refreshTimes() {
 		}
 		return
 	}
-	L := e.set.Latency
+	L := e.L
 	for i := 0; i < e.m; i++ {
 		kl, kh := int(e.kidLo[i]), int(e.kidHi[i])
 		if kl == kh {
@@ -174,6 +219,131 @@ func (e *Engine) refreshTimes() {
 		}
 		kernChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.r[i]+L, e.sendOf[i])
 	}
+}
+
+// refreshRows is refreshTimes for the M-wide forward recurrence: the root
+// row, then every other row by walkRows from the root.
+func (e *Engine) refreshRows() {
+	M := e.segs
+	e.rows = resizeInt64(e.rows, e.m*M)
+	e.newRows = resizeInt64(e.newRows, e.m*M)
+	e.newD = resizeInt64(e.newD, e.m)
+	e.ks = resizeInt64(e.ks, e.m)
+	for p := 0; p < e.m; p++ {
+		e.setKS(int32(p))
+	}
+	e.rootRow(e.rows)
+	e.d[0], e.r[0] = 0, 0
+	e.walkRows(e.rows, e.d, e.r, 0, -1, 0, 0)
+}
+
+// setKS re-derives position q's per-segment sending time from its child
+// count and occupant.
+func (e *Engine) setKS(q int32) {
+	e.ks[q] = int64(e.kidHi[q]-e.kidLo[q]) * e.sendOf[q]
+}
+
+// rootRow writes the root's row into dst: the root receives nothing and
+// starts sending segment s at s·k_0·send_0. Its own times stay 0.
+func (e *Engine) rootRow(dst []int64) {
+	row, step := dst[:e.segs], e.ks[0]
+	for s := range row {
+		row[s] = int64(s) * step
+	}
+}
+
+// childRows fills the rows, deliveries and receptions of positions
+// [lo, hi) — children of p at ranks first, first+1, ... — into f, d and r
+// from p's row in src, and folds them into the running maxima.
+func (e *Engine) childRows(f, d, r, src []int64, p int32, lo, hi int, first, movD, movR int64) (int64, int64) {
+	M := e.segs
+	sv := e.sendOf[p]
+	pr := int(p) * M
+	return kernChildRows(f[lo*M:hi*M], d[lo:hi], r[lo:hi], e.recvOf[lo:hi], e.ks[lo:hi], src[pr:pr+M], e.L+(first-1)*sv, sv, movD, movR)
+}
+
+// seedRow derives the candidate row of a re-walk root q into the Eval
+// scratch. q's parent lies outside every changed subtree, so its attached
+// row is current; the root's row depends only on its own staged ks.
+func (e *Engine) seedRow(q int32, movD, movR int64) (int64, int64) {
+	if q == 0 {
+		e.rootRow(e.newRows)
+		e.newD[0], e.newR[0] = 0, 0
+		return movD, movR
+	}
+	return e.childRows(e.newRows, e.newD, e.newR, e.rows, e.parentPos[q], int(q), int(q)+1, e.rank[q], movD, movR)
+}
+
+// refreshReady folds the reverse ready times bottom-up: positions in
+// descending order, so every child is final before its parent.
+func (e *Engine) refreshReady() {
+	e.ready = resizeInt64(e.ready, e.m)
+	e.undoPos = resizeInt32(e.undoPos, e.m)
+	e.undoVal = resizeInt64(e.undoVal, e.m)
+	for p := e.m - 1; p >= 0; p-- {
+		e.ready[p] = e.foldReady(int32(p), -1, -1)
+	}
+	e.done = e.ready[0]
+}
+
+// foldReady folds position p's children from the last rank to the first
+// into p's ready time. A relocate leaves the child at position skip out
+// (if it is p's) and appends the leaf at position app (if >= 0) as p's
+// new last child, folded first.
+func (e *Engine) foldReady(p, skip, app int32) int64 {
+	L, rv := e.L, e.recvOf[p]
+	busy := int64(0)
+	if app >= 0 {
+		busy = kernFoldReady(e.ready[app:app+1], e.sendOf[app:app+1], L, rv, 0)
+	}
+	kl, kh := int(e.kidLo[p]), int(e.kidHi[p])
+	if s := int(skip); s >= kl && s < kh {
+		busy = kernFoldReady(e.ready[s+1:kh], e.sendOf[s+1:kh], L, rv, busy)
+		kh = s
+	}
+	return kernFoldReady(e.ready[kl:kh], e.sendOf[kl:kh], L, rv, busy)
+}
+
+// foldChains re-folds the ready times along the ancestor chains of
+// positions qa and qb, in descending position order: BFS puts parents
+// first, so each child is final before its parent folds, and a shared
+// ancestor folds once. With leaf >= 0 the move is a relocate: qa is the
+// leaf's old parent, which folds without it, and qb the target, which
+// folds it in as its last child. Values are written in place; with undo
+// the attached ones are logged and restored before returning. Returns the
+// new ready[0].
+func (e *Engine) foldChains(qa, qb, leaf int32, undo bool) int64 {
+	po, pt := qa, qb
+	nu := 0
+	for qa >= 0 || qb >= 0 {
+		p := max(qa, qb)
+		skip, app := int32(-1), int32(-1)
+		if leaf >= 0 {
+			if p == po {
+				skip = leaf
+			}
+			if p == pt {
+				app = leaf
+			}
+		}
+		v := e.foldReady(p, skip, app)
+		if undo {
+			e.undoPos[nu], e.undoVal[nu] = p, e.ready[p]
+			nu++
+		}
+		e.ready[p] = v
+		if qa == p {
+			qa = e.parentPos[qa]
+		}
+		if qb == p {
+			qb = e.parentPos[qb]
+		}
+	}
+	done := e.ready[0]
+	for i := 0; i < nu; i++ {
+		e.ready[e.undoPos[i]] = e.undoVal[i]
+	}
+	return done
 }
 
 // deliveryAt recomputes position q's delivery from its parent's current
@@ -232,15 +402,12 @@ func (e *Engine) refreshCrossLayer(layers int) {
 // spans (the occupant arrays already carry the new overheads, so the
 // walk needs no overrides), and only the touched layers rebuild their
 // running maxima; the cross-layer prefixes and suffixes refresh in
-// O(layers). Acceptance-heavy loops (annealing) commit this way instead
-// of paying Attach's pointer-heavy BFS rebuild.
+// O(layers). The ready fold re-folds the two ancestor chains.
+// Acceptance-heavy loops (annealing) commit this way instead of paying
+// Attach's pointer-heavy BFS rebuild.
 //
 //hnow:noalloc
 func (e *Engine) CommitSwap(a, b NodeID) {
-	if e.generic {
-		e.commitSwapGeneric(a, b)
-		return
-	}
 	qa, qb := e.pos[a], e.pos[b]
 	if qa < 0 || qb < 0 {
 		panic(fmt.Sprintf("model: CommitSwap of unattached node (%d, %d)", a, b))
@@ -252,29 +419,26 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 	e.pos[a], e.pos[b] = qb, qa
 	e.sendOf[qa], e.sendOf[qb] = e.sendOf[qb], e.sendOf[qa]
 	e.recvOf[qa], e.recvOf[qb] = e.recvOf[qb], e.recvOf[qa]
+	if e.rev {
+		e.done = e.foldChains(qa, qb, -1, false)
+	}
+	if e.fwd == fwdNone {
+		return
+	}
+	if e.fwd == fwdRows {
+		e.setKS(qa)
+		e.setKS(qb)
+	}
 
 	q1, q2 := qa, qb
 	if e.layerOf[q1] > e.layerOf[q2] {
 		q1, q2 = q2, q1
 	}
-	p := q2
-	for e.layerOf[p] > e.layerOf[q1] {
-		p = e.parentPos[p]
-	}
-	// Base model: delivery is position-determined, so only the reception
-	// changes at the swapped positions. Link model: the latency term
-	// depends on the new occupant, so the delivery re-derives too.
-	if e.lat != nil {
-		e.d[q1] = e.deliveryAt(q1)
-	}
-	e.r[q1] = e.d[q1] + e.recvOf[q1]
+	e.commitSeed(q1)
 	pend := int32(-1)
-	if p != q1 { // disjoint subtrees: q2's own seed re-derives the same way
+	if !e.isAncestor(q1, q2) { // disjoint subtrees: q2 re-derives the same way
 		pend = q2
-		if e.lat != nil {
-			e.d[q2] = e.deliveryAt(q2)
-		}
-		e.r[q2] = e.d[q2] + e.recvOf[q2]
+		e.commitSeed(q2)
 	}
 	l := int(e.layerOf[q1])
 	var lo, hi [2]int32
@@ -284,7 +448,7 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 		ns = insertSpan(&lo, &hi, ns, pend)
 		pend = -1
 	}
-	L := e.set.Latency
+	L := e.L
 	for ns > 0 || pend >= 0 {
 		if ns > 0 {
 			e.refreshLayerAggregates(l)
@@ -296,15 +460,17 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 			if cs >= ce {
 				continue
 			}
-			for p := lo[si]; p < hi[si]; p++ {
-				kl, kh := int(e.kidLo[p]), int(e.kidHi[p])
-				if kl == kh {
-					continue
-				}
-				if e.lat != nil {
-					wanChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.order[kl:kh], e.lat[e.order[p]], e.r[p], e.sendOf[p])
-				} else {
-					kernChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.r[p]+L, e.sendOf[p])
+			if e.fwd != fwdRows { // rows were re-derived by commitSeed
+				for p := lo[si]; p < hi[si]; p++ {
+					kl, kh := int(e.kidLo[p]), int(e.kidHi[p])
+					if kl == kh {
+						continue
+					}
+					if e.lat != nil {
+						wanChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.order[kl:kh], e.lat[e.order[p]], e.r[p], e.sendOf[p])
+					} else {
+						kernChildTimes(e.d[kl:kh], e.r[kl:kh], e.recvOf[kl:kh], e.r[p]+L, e.sendOf[p])
+					}
 				}
 			}
 			nlo[nns], nhi[nns] = cs, ce
@@ -322,6 +488,35 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 	e.refreshCrossLayer(len(e.layerOff) - 1)
 }
 
+// commitSeed re-derives a swapped position's own times after its occupant
+// changed. Base model: delivery is position-determined, so only the
+// reception changes. Link model: the latency term depends on the new
+// occupant, so the delivery re-derives too. Rows: the whole row
+// re-derives from the parent's row, and so do the subtree's rows.
+//
+//hnow:noalloc
+func (e *Engine) commitSeed(q int32) {
+	switch e.fwd {
+	case fwdBase:
+		e.r[q] = e.d[q] + e.recvOf[q]
+	case fwdLink:
+		e.d[q] = e.deliveryAt(q)
+		e.r[q] = e.d[q] + e.recvOf[q]
+	default:
+		e.childRows(e.rows, e.d, e.r, e.rows, e.parentPos[q], int(q), int(q)+1, e.rank[q], 0, 0)
+		e.walkRows(e.rows, e.d, e.r, q, -1, 0, 0)
+	}
+}
+
+// isAncestor reports whether q1 is q2 or an ancestor of it; q1's layer
+// must not be deeper than q2's.
+func (e *Engine) isAncestor(q1, q2 int32) bool {
+	for e.layerOf[q2] > e.layerOf[q1] {
+		q2 = e.parentPos[q2]
+	}
+	return q2 == q1
+}
+
 // refreshLayerAggregates rebuilds one layer's running maxima from the
 // current time arrays: one forward and one backward kernel pass over the
 // layer's contiguous position range.
@@ -333,26 +528,17 @@ func (e *Engine) refreshLayerAggregates(l int) {
 }
 
 // DT returns the delivery completion time of the attached schedule.
-func (e *Engine) DT() int64 { return e.dt }
+func (e *Engine) DT() int64 { return e.dt + e.done }
 
 // RT returns the reception completion time of the attached schedule, the
 // objective the paper minimizes.
-func (e *Engine) RT() int64 { return e.rt }
+func (e *Engine) RT() int64 { return e.rt + e.done }
 
 // TimesInto writes the attached schedule's times into tm in node index
-// order, exactly as ComputeTimesInto would produce them (unattached nodes
-// get zero times). It reuses tm's buffers and allocates nothing after
-// warmup.
+// order, exactly as the bound model's EvalInto would produce them
+// (unattached nodes get zero times, or the barrier offset). It reuses
+// tm's buffers and allocates nothing after warmup.
 func (e *Engine) TimesInto(tm *Times) {
-	if e.generic {
-		n := len(e.set.Nodes)
-		tm.Delivery = resizeInt64(tm.Delivery, n)
-		tm.Reception = resizeInt64(tm.Reception, n)
-		copy(tm.Delivery, e.gTm.Delivery)
-		copy(tm.Reception, e.gTm.Reception)
-		tm.DT, tm.RT = e.gTm.DT, e.gTm.RT
-		return
-	}
 	n := len(e.set.Nodes)
 	tm.Delivery = resizeInt64(tm.Delivery, n)
 	tm.Reception = resizeInt64(tm.Reception, n)
@@ -362,12 +548,26 @@ func (e *Engine) TimesInto(tm *Times) {
 			tm.Reception[i] = 0
 		}
 	}
-	for j := 0; j < e.m; j++ {
-		v := e.order[j]
-		tm.Delivery[v] = e.d[j]
-		tm.Reception[v] = e.r[j]
+	if e.fwd == fwdNone { // reduce: both times carry the ready time
+		for j := 0; j < e.m; j++ {
+			v := e.order[j]
+			tm.Delivery[v] = e.ready[j]
+			tm.Reception[v] = e.ready[j]
+		}
+	} else {
+		for j := 0; j < e.m; j++ {
+			v := e.order[j]
+			tm.Delivery[v] = e.d[j]
+			tm.Reception[v] = e.r[j]
+		}
+		if e.rev { // barrier: every node waits for the reduce
+			for i := range tm.Delivery {
+				tm.Delivery[i] += e.done
+				tm.Reception[i] += e.done
+			}
+		}
 	}
-	tm.DT, tm.RT = e.dt, e.rt
+	tm.DT, tm.RT = e.DT(), e.RT()
 }
 
 // EvalMoves scores a batch of candidate moves against the attached
@@ -398,9 +598,6 @@ func (e *Engine) EvalMoves(moves []Move, out []int64) {
 //
 //hnow:noalloc
 func (e *Engine) Eval(mv Move) (dt, rt int64) {
-	if e.generic {
-		return e.evalGeneric(mv)
-	}
 	switch mv.Kind {
 	case MoveSwap:
 		return e.evalSwap(mv.A, mv.B)
@@ -426,7 +623,8 @@ func (e *Engine) nextGen() uint32 {
 // evalSwap scores exchanging the positions of destinations a and b. The
 // tree shape is invariant under a swap — only the occupants of the two
 // positions change — so the affected positions are exactly the two
-// subtrees (one, when nested), walked as contiguous spans per layer.
+// subtrees (one, when nested), walked as contiguous spans per layer, and
+// the two ancestor chains of the ready fold.
 //
 // Instead of threading occupant overrides through the walk (a per-child
 // branch on node metadata in the hottest loop), the post-swap overheads
@@ -437,7 +635,7 @@ func (e *Engine) nextGen() uint32 {
 // to callers.
 func (e *Engine) evalSwap(a, b NodeID) (int64, int64) {
 	if a == b {
-		return e.dt, e.rt
+		return e.DT(), e.RT()
 	}
 	q1, q2 := e.pos[a], e.pos[b]
 	if q1 < 0 || q2 < 0 {
@@ -446,61 +644,94 @@ func (e *Engine) evalSwap(a, b NodeID) (int64, int64) {
 	if e.layerOf[q1] > e.layerOf[q2] {
 		q1, q2 = q2, q1
 	}
-	// Nested iff q1 is an ancestor of q2.
-	p := q2
-	for e.layerOf[p] > e.layerOf[q1] {
-		p = e.parentPos[p]
-	}
-	nested := p == q1
-
-	// Stage the post-swap occupant overheads (and, under the link model,
-	// occupants — latency terms are occupant-dependent) in place.
-	e.sendOf[q1], e.sendOf[q2] = e.sendOf[q2], e.sendOf[q1]
-	e.recvOf[q1], e.recvOf[q2] = e.recvOf[q2], e.recvOf[q1]
-	if e.lat != nil {
-		e.order[q1], e.order[q2] = e.order[q2], e.order[q1]
-	}
-
-	gen := e.nextGen()
-	// Base model: q1's delivery is position-determined, hence unchanged.
-	// Link model: the incoming latency depends on the staged occupant, so
-	// the seed delivery re-derives from the parent's current reception.
-	d1 := e.d[q1]
-	if e.lat != nil {
-		d1 = e.deliveryAt(q1)
-	}
-	movD := d1
-	e.newR[q1] = d1 + e.recvOf[q1]
-	e.stamp[q1] = gen
-	movR := e.newR[q1]
-	pend := int32(-1)
-	if !nested {
-		pend = q2
-		d2 := e.d[q2]
+	e.stageSwap(q1, q2)
+	dt, rt := e.dt, e.rt
+	switch e.fwd {
+	case fwdBase, fwdLink:
+		nested := e.isAncestor(q1, q2)
+		gen := e.nextGen()
+		// Base model: q1's delivery is position-determined, hence
+		// unchanged. Link model: the incoming latency depends on the
+		// staged occupant, so the seed delivery re-derives from the
+		// parent's current reception.
+		d1 := e.d[q1]
 		if e.lat != nil {
-			d2 = e.deliveryAt(q2)
+			d1 = e.deliveryAt(q1)
 		}
-		e.newR[q2] = d2 + e.recvOf[q2]
-		e.stamp[q2] = gen
-		movD = max(movD, d2)
-		movR = max(movR, e.newR[q2])
+		movD := d1
+		e.newR[q1] = d1 + e.recvOf[q1]
+		e.stamp[q1] = gen
+		movR := e.newR[q1]
+		pend := int32(-1)
+		if !nested {
+			pend = q2
+			d2 := e.d[q2]
+			if e.lat != nil {
+				d2 = e.deliveryAt(q2)
+			}
+			e.newR[q2] = d2 + e.recvOf[q2]
+			e.stamp[q2] = gen
+			movD = max(movD, d2)
+			movR = max(movR, e.newR[q2])
+		}
+		dt, rt = e.walkSpansBounds(q1, q1+1, pend, gen, movD, movR)
+	case fwdRows:
+		dt, rt = e.swapRows(q1, q2)
 	}
-	dt, rt := e.walkSpans(q1, pend, gen, movD, movR)
+	done := e.done
+	if e.rev {
+		done = e.foldChains(q1, q2, -1, true)
+	}
+	e.stageSwap(q1, q2) // the engine must be left exactly as attached
+	return dt + done, rt + done
+}
 
-	// Unstage: the engine must be left exactly as attached.
+// stageSwap exchanges the occupant overheads of positions q1 and q2 (and,
+// under the link model, the occupants — latency terms are
+// occupant-dependent). It is its own inverse.
+func (e *Engine) stageSwap(q1, q2 int32) {
 	e.sendOf[q1], e.sendOf[q2] = e.sendOf[q2], e.sendOf[q1]
 	e.recvOf[q1], e.recvOf[q2] = e.recvOf[q2], e.recvOf[q1]
 	if e.lat != nil {
 		e.order[q1], e.order[q2] = e.order[q2], e.order[q1]
 	}
+}
+
+// swapRows scores the M-wide forward recurrence of a staged swap: the
+// sending times re-derive from the staged occupants, then the one or two
+// subtrees re-walk from their seed rows.
+func (e *Engine) swapRows(q1, q2 int32) (int64, int64) {
+	k1, k2 := e.ks[q1], e.ks[q2]
+	e.setKS(q1)
+	e.setKS(q2)
+	dt, rt := e.rowsBounds(q1, q2, -1)
+	e.ks[q1], e.ks[q2] = k1, k2
 	return dt, rt
 }
 
-// evalRelocate scores detaching leaf and appending it under target. The
-// affected positions are the leaf's later siblings (one rank earlier) and
-// their subtrees; the leaf's vacated position is excluded from the
-// complement and its value at the new position is added separately once
-// the walk has fixed its new parent's reception.
+// rowsBounds scores the M-wide forward recurrence once the rows of
+// positions q1 and q2 (q1 not deeper) have changed: it re-derives both
+// subtrees (one, when nested), leaving the relocated leaf at position
+// skip out of its parent's children, and combines them with the layer
+// aggregates of the untouched complement.
+func (e *Engine) rowsBounds(q1, q2, skip int32) (int64, int64) {
+	movD, movR := e.seedRow(q1, 0, 0)
+	movD, movR = e.walkRows(e.newRows, e.newD, e.newR, q1, skip, movD, movR)
+	pend := int32(-1)
+	if !e.isAncestor(q1, q2) {
+		pend = q2
+		movD, movR = e.seedRow(q2, movD, movR)
+		movD, movR = e.walkRows(e.newRows, e.newD, e.newR, q2, skip, movD, movR)
+	}
+	return e.walkSpansBounds(q1, q1+1, pend, 0, movD, movR)
+}
+
+// evalRelocate scores detaching leaf and appending it under target. Under
+// the M = 1 forward recurrence the affected positions are the leaf's
+// later siblings (one rank earlier) and their subtrees; the leaf's vacated
+// position is excluded from the complement and its value at the new
+// position is added separately once the walk has fixed its new parent's
+// reception.
 func (e *Engine) evalRelocate(leaf, target NodeID) (int64, int64) {
 	pl, pt := e.pos[leaf], e.pos[target]
 	if pl < 0 || pt < 0 || leaf == target {
@@ -513,59 +744,88 @@ func (e *Engine) evalRelocate(leaf, target NodeID) (int64, int64) {
 	if e.kidLo[pl] != e.kidHi[pl] {
 		panic(fmt.Sprintf("model: Eval: relocate of non-leaf %d", leaf))
 	}
-	gen := e.nextGen()
-	// Seed the later siblings with their rank-shifted times; the vacated
-	// leaf position contributes nothing (and is childless, so the walk
-	// skips it naturally). Each sibling moves one rank earlier, so its
-	// delivery is the predecessor's old delivery: a strength-reduced
-	// kernel scan starting from the vacated rank.
-	movD, movR := int64(0), int64(0)
-	L := e.set.Latency
-	rp, sv := e.r[po], e.sendOf[po]
-	sibLo, sibHi := int(pl)+1, int(e.kidHi[po])
-	if sibLo < sibHi {
-		if e.lat != nil {
-			// Each later sibling moves one rank earlier: its delivery
-			// drops by exactly one send slot and its occupant-dependent
-			// latency term is unchanged, so shift the existing times.
-			for j := sibLo; j < sibHi; j++ {
-				dj := e.d[j] - sv
-				rj := dj + e.recvOf[j]
-				e.newR[j] = rj
-				e.stamp[j] = gen
-				movD = max(movD, dj)
-				movR = max(movR, rj)
+	dt, rt := e.dt, e.rt
+	switch e.fwd {
+	case fwdBase, fwdLink:
+		gen := e.nextGen()
+		// Seed the later siblings with their rank-shifted times; the
+		// vacated leaf position contributes nothing (and is childless, so
+		// the walk skips it naturally). Each sibling moves one rank
+		// earlier, so its delivery is the predecessor's old delivery: a
+		// strength-reduced kernel scan starting from the vacated rank.
+		movD, movR := int64(0), int64(0)
+		L := e.L
+		rp, sv := e.r[po], e.sendOf[po]
+		sibLo, sibHi := int(pl)+1, int(e.kidHi[po])
+		if sibLo < sibHi {
+			if e.lat != nil {
+				// Each later sibling moves one rank earlier: its delivery
+				// drops by exactly one send slot and its occupant-dependent
+				// latency term is unchanged, so shift the existing times.
+				for j := sibLo; j < sibHi; j++ {
+					dj := e.d[j] - sv
+					rj := dj + e.recvOf[j]
+					e.newR[j] = rj
+					e.stamp[j] = gen
+					movD = max(movD, dj)
+					movR = max(movR, rj)
+				}
+			} else {
+				base := rp + (e.rank[pl]-1)*sv + L
+				movD, movR = kernChildCand(e.newR[sibLo:sibHi], e.recvOf[sibLo:sibHi], e.stamp[sibLo:sibHi], gen, base, sv, movD, movR)
 			}
-		} else {
-			base := rp + (e.rank[pl]-1)*sv + L
-			movD, movR = kernChildCand(e.newR[sibLo:sibHi], e.recvOf[sibLo:sibHi], e.stamp[sibLo:sibHi], gen, base, sv, movD, movR)
 		}
+		dt, rt = e.walkSpansBounds(pl, e.kidHi[po], -1, gen, movD, movR)
+		// The leaf's contribution at its new position: appended after
+		// target's current children (one fewer if the target is the old
+		// parent itself, which just lost the leaf).
+		rt2 := e.r[pt]
+		if e.stamp[pt] == gen {
+			rt2 = e.newR[pt]
+		}
+		cnt := int64(e.kidHi[pt] - e.kidLo[pt])
+		if pt == po {
+			cnt--
+		}
+		dd := rt2 + (cnt+1)*e.sendOf[pt]
+		if e.lat != nil {
+			dd += e.lat[e.order[pt]][e.order[pl]]
+		} else {
+			dd += L
+		}
+		dt, rt = max(dt, dd), max(rt, dd+e.recvOf[pl])
+	case fwdRows:
+		dt, rt = e.relocateRows(pl, po, pt)
 	}
-	dt, rt := e.walkSpansBounds(pl, e.kidHi[po], -1, gen, movD, movR)
-	// The leaf's contribution at its new position: appended after
-	// target's current children (one fewer if the target is the old
-	// parent itself, which just lost the leaf).
-	rt2 := e.r[pt]
-	if e.stamp[pt] == gen {
-		rt2 = e.newR[pt]
+	done := e.done
+	if e.rev {
+		done = e.foldChains(po, pt, pl, true)
 	}
+	return dt + done, rt + done
+}
+
+// relocateRows is the M-wide forward relocate. The old parent loses a
+// child and the target gains one, so both rows change (F[p][s] carries
+// k_p·send_p for s >= 1) and both subtrees re-walk, as in a disjoint or
+// nested swap; the walk leaves the leaf out of its old parent's children,
+// and the leaf's row is derived last from the target's new row.
+func (e *Engine) relocateRows(pl, po, pt int32) (int64, int64) {
+	e.ks[po] -= e.sendOf[po]
+	e.ks[pt] += e.sendOf[pt]
+	q1, q2 := po, pt
+	if e.layerOf[q1] > e.layerOf[q2] {
+		q1, q2 = q2, q1
+	}
+	dt, rt := e.rowsBounds(q1, q2, pl)
 	cnt := int64(e.kidHi[pt] - e.kidLo[pt])
 	if pt == po {
 		cnt--
 	}
-	dd := rt2 + (cnt+1)*e.sendOf[pt]
-	if e.lat != nil {
-		dd += e.lat[e.order[pt]][e.order[pl]]
-	} else {
-		dd += L
-	}
-	rj := dd + e.recvOf[pl]
-	return max(dt, dd), max(rt, rj)
-}
-
-// walkSpans is walkSpansBounds for a single-position top span.
-func (e *Engine) walkSpans(top, pend int32, gen uint32, movD, movR int64) (int64, int64) {
-	return e.walkSpansBounds(top, top+1, pend, gen, movD, movR)
+	// The leaf's own scratch slots are free: the walk skipped it.
+	dt, rt = e.childRows(e.newRows, e.newD, e.newR, e.newRows, pt, int(pl), int(pl)+1, cnt+1, dt, rt)
+	e.ks[po] += e.sendOf[po]
+	e.ks[pt] -= e.sendOf[pt]
+	return dt, rt
 }
 
 // walkSpansBounds re-walks the descendants of the top span [lo0, hi0)
@@ -575,9 +835,11 @@ func (e *Engine) walkSpans(top, pend int32, gen uint32, movD, movR int64) (int64
 // layer aggregates of the untouched complement. Candidate occupant
 // overheads must already be staged in sendOf/recvOf (see evalSwap), so
 // the per-layer expansion is a pure kernel scan with no per-child
-// branches. Returns the candidate (DT, RT).
+// branches. Under the M-wide recurrence walkRows has already derived the
+// walked rows into movD and movR, and the walk only gathers the
+// complement. Returns the candidate (DT, RT).
 func (e *Engine) walkSpansBounds(lo0, hi0, pend int32, gen uint32, movD, movR int64) (int64, int64) {
-	L := e.set.Latency
+	L := e.L
 	l := int(e.layerOf[lo0])
 	complD, complR := e.layPreD[l], e.layPreR[l]
 	var lo, hi [2]int32
@@ -617,15 +879,17 @@ func (e *Engine) walkSpansBounds(lo0, hi0, pend int32, gen uint32, movD, movR in
 			if cs >= ce {
 				continue
 			}
-			for p := lo[si]; p < hi[si]; p++ {
-				kl, kh := int(e.kidLo[p]), int(e.kidHi[p])
-				if kl == kh {
-					continue
-				}
-				if e.lat != nil {
-					movD, movR = wanChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], e.order[kl:kh], e.lat[e.order[p]], gen, e.newR[p], e.sendOf[p], movD, movR)
-				} else {
-					movD, movR = kernChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], gen, e.newR[p]+L, e.sendOf[p], movD, movR)
+			if e.fwd != fwdRows { // rows were derived by walkRows beforehand
+				for p := lo[si]; p < hi[si]; p++ {
+					kl, kh := int(e.kidLo[p]), int(e.kidHi[p])
+					if kl == kh {
+						continue
+					}
+					if e.lat != nil {
+						movD, movR = wanChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], e.order[kl:kh], e.lat[e.order[p]], gen, e.newR[p], e.sendOf[p], movD, movR)
+					} else {
+						movD, movR = kernChildCand(e.newR[kl:kh], e.recvOf[kl:kh], e.stamp[kl:kh], gen, e.newR[p]+L, e.sendOf[p], movD, movR)
+					}
 				}
 			}
 			nlo[nns], nhi[nns] = cs, ce
@@ -641,6 +905,29 @@ func (e *Engine) walkSpansBounds(lo0, hi0, pend int32, gen uint32, movD, movR in
 	complD = max(complD, e.laySufD[l])
 	complR = max(complR, e.laySufR[l])
 	return max(complD, movD), max(complR, movR)
+}
+
+// walkRows derives the rows of q's descendants from q's row, layer by
+// layer (the children of a contiguous span are a contiguous span),
+// reading and writing f, d and r: the Eval scratch or the attached
+// arrays. A relocated leaf at position skip leaves its parent's children,
+// and its later siblings move one rank earlier.
+func (e *Engine) walkRows(f, d, r []int64, q, skip int32, movD, movR int64) (int64, int64) {
+	for lo, hi := q, q+1; lo < hi; lo, hi = e.kidLo[lo], e.kidHi[hi-1] {
+		for p := lo; p < hi; p++ {
+			kl, kh := int(e.kidLo[p]), int(e.kidHi[p])
+			if kl == kh {
+				continue
+			}
+			first := int64(1)
+			if s := int(skip); s >= kl && s < kh {
+				movD, movR = e.childRows(f, d, r, f, p, kl, s, 1, movD, movR)
+				kl, first = s+1, int64(s-kl+1)
+			}
+			movD, movR = e.childRows(f, d, r, f, p, kl, kh, first, movD, movR)
+		}
+	}
+	return movD, movR
 }
 
 // insertSpan adds the single-position span [p, p+1) to the ordered span
@@ -671,93 +958,4 @@ func resizeNodeID(s []NodeID, n int) []NodeID {
 		return make([]NodeID, n, growCap(n))
 	}
 	return s[:n]
-}
-
-// attachGeneric is the Attach path for cost models without incremental
-// engine support (pipeline, reduce, barrier, node): the engine keeps a
-// private mutable mirror of the schedule and scores through
-// CostModel.EvalInto. The flat structure-of-arrays state is left stale and
-// must not be consulted while e.generic is set.
-func (e *Engine) attachGeneric(sch *Schedule, cm CostModel) {
-	e.set, e.sch = sch.Set, sch
-	e.cm, e.lat, e.generic = cm, nil, true
-	if e.gSch == nil || len(e.gSch.parent) != len(sch.parent) {
-		e.gSch = sch.Clone()
-	} else {
-		e.gSch.Set = sch.Set
-		if err := e.gSch.CopyFrom(sch); err != nil {
-			panic(fmt.Sprintf("model: Attach: %v", err))
-		}
-	}
-	if err := cm.EvalInto(e.gSch, &e.gTm); err != nil {
-		panic(fmt.Sprintf("model: Attach: %v", err))
-	}
-	e.dt, e.rt = e.gTm.DT, e.gTm.RT
-}
-
-// evalGeneric scores one candidate move on the generic path: apply the
-// move to the internal mirror, evaluate the bound model into per-Eval
-// scratch, and undo the move exactly. Invalid operands panic with the
-// same intent as the structure-of-arrays path.
-func (e *Engine) evalGeneric(mv Move) (int64, int64) {
-	s := e.gSch
-	switch mv.Kind {
-	case MoveSwap:
-		if mv.A == mv.B {
-			return e.dt, e.rt
-		}
-		if err := s.SwapNodes(mv.A, mv.B); err != nil {
-			panic(fmt.Sprintf("model: Eval: %v", err))
-		}
-		everr := e.cm.EvalInto(s, &e.gEvTm)
-		if err := s.SwapNodes(mv.A, mv.B); err != nil {
-			panic(fmt.Sprintf("model: Eval: undo: %v", err))
-		}
-		if everr != nil {
-			panic(fmt.Sprintf("model: Eval: %v", everr))
-		}
-		return e.gEvTm.DT, e.gEvTm.RT
-	case MoveRelocate:
-		if mv.A == mv.B {
-			panic(fmt.Sprintf("model: Eval: invalid relocate (%d -> %d)", mv.A, mv.B))
-		}
-		p0, i0, err := s.RemoveLeaf(mv.A)
-		if err != nil {
-			panic(fmt.Sprintf("model: Eval: %v", err))
-		}
-		if err := s.InsertChild(mv.B, mv.A, len(s.children[mv.B])); err != nil {
-			if uerr := s.InsertChild(p0, mv.A, i0); uerr != nil {
-				panic(fmt.Sprintf("model: Eval: undo: %v", uerr))
-			}
-			panic(fmt.Sprintf("model: Eval: %v", err))
-		}
-		everr := e.cm.EvalInto(s, &e.gEvTm)
-		if _, _, err := s.RemoveLeaf(mv.A); err != nil {
-			panic(fmt.Sprintf("model: Eval: undo: %v", err))
-		}
-		if err := s.InsertChild(p0, mv.A, i0); err != nil {
-			panic(fmt.Sprintf("model: Eval: undo: %v", err))
-		}
-		if everr != nil {
-			panic(fmt.Sprintf("model: Eval: %v", everr))
-		}
-		return e.gEvTm.DT, e.gEvTm.RT
-	default:
-		panic(fmt.Sprintf("model: Eval: unknown move kind %d", mv.Kind))
-	}
-}
-
-// commitSwapGeneric is CommitSwap on the generic path: mirror the swap on
-// the internal schedule copy and re-evaluate the bound model.
-func (e *Engine) commitSwapGeneric(a, b NodeID) {
-	if a == b {
-		return
-	}
-	if err := e.gSch.SwapNodes(a, b); err != nil {
-		panic(fmt.Sprintf("model: CommitSwap: %v", err))
-	}
-	if err := e.cm.EvalInto(e.gSch, &e.gTm); err != nil {
-		panic(fmt.Sprintf("model: CommitSwap: %v", err))
-	}
-	e.dt, e.rt = e.gTm.DT, e.gTm.RT
 }

@@ -240,34 +240,60 @@ func TestEngineTracksAppliedMoves(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocFree pins the satellite regression: repeated
-// Attach and whole-neighborhood EvalMoves on a warmed engine allocate
-// nothing, including across nearby instance sizes (the power-of-two
-// scratch growth).
+// Attach, whole-neighborhood EvalMoves (swaps and relocations) and
+// CommitSwap on a warmed engine allocate nothing under every cost model,
+// bound in the value and the pointer form, including across nearby
+// instance sizes (the power-of-two scratch growth).
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	set := randIncrSet(rng, 48)
-	sch := randIncrSchedule(rng, set)
-	var eng Engine
-	eng.Attach(sch)
-	moves := neighborhood(sch)
-	out := make([]int64, len(moves))
-	if allocs := testing.AllocsPerRun(20, func() { eng.Attach(sch) }); allocs != 0 {
-		t.Errorf("Attach allocates %.1f per call after warmup", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { eng.EvalMoves(moves, out) }); allocs != 0 {
-		t.Errorf("EvalMoves allocates %.1f per call after warmup", allocs)
-	}
-	// Alternating between nearby sizes must not reallocate either: the
-	// scratch growth rounds capacities up.
 	small := randIncrSet(rng, 41)
-	smallSch := randIncrSchedule(rng, small)
-	eng.Attach(smallSch)
-	eng.Attach(sch)
-	if allocs := testing.AllocsPerRun(20, func() {
-		eng.Attach(smallSch)
-		eng.Attach(sch)
-	}); allocs != 0 {
-		t.Errorf("size-alternating Attach allocates %.1f per call pair", allocs)
+	pipe, node := PipelineModel{Segments: 4}, NodeModel{Lambda: 2}
+	models := []CostModel{
+		nil,
+		randLinkModel(rng, len(set.Nodes)),
+		pipe, &pipe,
+		ReduceModel{}, &ReduceModel{},
+		BarrierModel{}, &BarrierModel{},
+		node, &node,
+	}
+	for _, cm := range models {
+		t.Run(modelLabel(cm), func(t *testing.T) {
+			sch := randIncrSchedule(rng, set)
+			sch.BindModel(cm)
+			var eng Engine
+			eng.Attach(sch)
+			moves := neighborhood(sch)
+			out := make([]int64, len(moves))
+			if allocs := testing.AllocsPerRun(20, func() { eng.Attach(sch) }); allocs != 0 {
+				t.Errorf("Attach allocates %.1f per call after warmup", allocs)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { eng.EvalMoves(moves, out) }); allocs != 0 {
+				t.Errorf("EvalMoves allocates %.1f per call after warmup", allocs)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				eng.CommitSwap(1, 2)
+				eng.CommitSwap(1, 2)
+			}); allocs != 0 {
+				t.Errorf("CommitSwap allocates %.1f per call pair", allocs)
+			}
+			// Alternating between nearby sizes must not reallocate either:
+			// the scratch growth rounds capacities up. The link model's
+			// matrix is sized for one instance, so it stays on set.
+			if _, ok := cm.(*LinkModel); ok {
+				return
+			}
+			smallSch := randIncrSchedule(rng, small)
+			smallSch.BindModel(cm)
+			eng.Attach(smallSch)
+			eng.Attach(sch)
+			if allocs := testing.AllocsPerRun(20, func() {
+				eng.Attach(smallSch)
+				eng.Attach(sch)
+			}); allocs != 0 {
+				t.Errorf("size-alternating Attach allocates %.1f per call pair", allocs)
+			}
+		})
 	}
 }
 

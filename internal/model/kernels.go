@@ -10,9 +10,9 @@ package model
 // `hnowlint -escape` pins its remaining check_bce hits (the prologue
 // reslices) in .github/noalloc_allowlist.txt. The straightforward scalar
 // forms are kept in kernels_ref_test.go as the parity oracle for
-// randomized cross-checks; the engine-level oracle remains
+// randomized cross-checks; the engine-level oracles remain
 // model.ComputeTimes (engine parity suite + FuzzRecomputeFrom/
-// FuzzBatchEval).
+// FuzzBatchEval) and each cost model's EvalInto (FuzzCostModelEngine).
 
 // kernChildTimes fills one parent's contiguous children span with
 // delivery and reception times by strength-reduced accumulation:
@@ -134,4 +134,50 @@ func kernFill(row []int64, v int64) {
 	for i := range row {
 		row[i] = v
 	}
+}
+
+// kernChildRows fills the M-wide rows (M = len(fp)) of one parent's
+// contiguous children span from the parent's row fp. Child i receives
+// segment s at a_s = fp[s] + off + (i+1)*sv and is free after it at
+// F[s] = max(F[s-1] + ks[i], a_s) + rc[i] (F[0] = a_0 + rc[i]); the row
+// goes to rows[i*M:(i+1)*M], a_0 to d[i] and F[M-1] to r[i], and both
+// fold into the returned running maxima.
+//
+//hnow:noalloc
+func kernChildRows(rows, d, r, rc, ks, fp []int64, off, sv, movD, movR int64) (int64, int64) {
+	m := len(fp)
+	r = r[:len(d)]
+	rc = rc[:len(d)]
+	ks = ks[:len(d)]
+	fp0 := fp[0]
+	acc := off
+	for i := range d {
+		acc += sv
+		row := rows[i*m : i*m+m]
+		row = row[:len(fp)]
+		k, rv := ks[i], rc[i]
+		a := fp0 + acc
+		f := a + rv
+		row[0] = f
+		for s := 1; s < len(fp); s++ {
+			f = max(f+k, fp[s]+acc) + rv
+			row[s] = f
+		}
+		d[i], r[i] = a, f
+		movD = max(movD, a)
+		movR = max(movR, f)
+	}
+	return movD, movR
+}
+
+// kernFoldReady folds a children span into a reverse ready time, from the
+// last child to the first: busy = max(ready[i] + send[i] + lat, busy) + rv.
+//
+//hnow:noalloc
+func kernFoldReady(ready, send []int64, lat, rv, busy int64) int64 {
+	send = send[:len(ready)]
+	for i := len(ready) - 1; i >= 0; i-- {
+		busy = max(ready[i]+send[i]+lat, busy) + rv
+	}
+	return busy
 }

@@ -86,6 +86,41 @@ func refLaneStep(acc, sv, lat, rc, d, r, maxD, maxR []int64) {
 	}
 }
 
+func refChildRows(rows, d, r, rc, ks, fp []int64, off, sv, movD, movR int64) (int64, int64) {
+	m := len(fp)
+	for i := range d {
+		acc := off + int64(i+1)*sv
+		free := int64(0)
+		for s := 0; s < m; s++ {
+			arrive := fp[s] + acc
+			if s > 0 && free+ks[i] > arrive {
+				arrive = free + ks[i]
+			}
+			free = arrive + rc[i]
+			rows[i*m+s] = free
+		}
+		d[i], r[i] = fp[0]+acc, free
+		if d[i] > movD {
+			movD = d[i]
+		}
+		if r[i] > movR {
+			movR = r[i]
+		}
+	}
+	return movD, movR
+}
+
+func refFoldReady(ready, send []int64, lat, rv, busy int64) int64 {
+	for i := len(ready) - 1; i >= 0; i-- {
+		arrive := ready[i] + send[i] + lat
+		if busy > arrive {
+			arrive = busy
+		}
+		busy = arrive + rv
+	}
+	return busy
+}
+
 // randRow draws a row of small values with frequent ties: tied maxima are
 // where a wrong comparison direction or off-by-one would hide.
 func randRow(rng *rand.Rand, n int) []int64 {
@@ -177,6 +212,26 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		if !eqRows(acc1, acc2) || !eqRows(ld1, ld2) || !eqRows(lr1, lr2) ||
 			!eqRows(mD1, mD2) || !eqRows(mR1, mR2) {
 			t.Fatalf("trial %d: kernLaneStep diverges", trial)
+		}
+
+		m := 1 + rng.Intn(6)
+		fp, ks := randRow(rng, m), randRow(rng, n)
+		for s := 1; s < m; s++ {
+			fp[s] += fp[s-1] // a parent row is nondecreasing
+		}
+		rows1, rows2 := make([]int64, n*m), make([]int64, n*m)
+		cd1, cr1 := make([]int64, n), make([]int64, n)
+		cd2, cr2 := make([]int64, n), make([]int64, n)
+		rD1, rR1 := kernChildRows(rows1, cd1, cr1, rc, ks, fp, base, sv, movD, movR)
+		rD2, rR2 := refChildRows(rows2, cd2, cr2, rc, ks, fp, base, sv, movD, movR)
+		if rD1 != rD2 || rR1 != rR2 || !eqRows(rows1, rows2) || !eqRows(cd1, cd2) || !eqRows(cr1, cr2) {
+			t.Fatalf("trial %d: kernChildRows diverges: maxima %d/%d vs %d/%d, rows %v vs %v",
+				trial, rD1, rR1, rD2, rR2, rows1, rows2)
+		}
+
+		busy := int64(rng.Intn(30))
+		if got, want := kernFoldReady(a, svr, base, sv, busy), refFoldReady(a, svr, base, sv, busy); got != want {
+			t.Fatalf("trial %d: kernFoldReady = %d, reference %d", trial, got, want)
 		}
 
 		fill := randRow(rng, n)

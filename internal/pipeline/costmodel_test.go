@@ -25,8 +25,8 @@ func randTestSchedule(t *testing.T, rng *rand.Rand, set *model.MulticastSet) *mo
 
 // TestPipelineModelMatchesTimes pins model.PipelineModel bit-identically
 // to the retained reference evaluator Times on random trees and segment
-// counts — the oracle contract the generic engine path is certified
-// against for pipelined instances.
+// counts — the oracle contract EvalInto, and through it the engine's
+// M-wide forward recurrence, is certified against for pipelined instances.
 func TestPipelineModelMatchesTimes(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		set, err := cluster.Generate(cluster.GenConfig{N: 12, K: 3, Seed: seed})
