@@ -13,11 +13,11 @@
 // The -json mode runs the hot-path performance suites and emits
 // machine-readable results so the perf trajectory is tracked in-repo
 // across PRs: BENCH_dp.json covers the exact DP (table fills, sequential
-// and parallel, against the retained seed recursive solver) and the
-// heuristic loops end-to-end; BENCH_engine.json puts the two
-// move-evaluation strategies head to head — batched Engine.EvalMoves
-// over a whole swap neighborhood vs mutate + Times.RecomputeFrom + undo
-// per candidate — and records the ns/move speedup.
+// and parallel) and the heuristic loops end-to-end; BENCH_engine.json
+// puts two move-evaluation strategies head to head — batched
+// Engine.EvalMoves over a whole swap neighborhood vs mutate +
+// ComputeTimesInto + undo per candidate — and records the ns/move
+// speedup.
 package main
 
 import (
@@ -153,9 +153,6 @@ type benchReport struct {
 	GoArch     string        `json:"goarch"`
 	GoMaxProcs int           `json:"gomaxprocs"`
 	Results    []benchResult `json:"results"`
-	// SpeedupFillAllVsReference is reference fill time / sequential
-	// iterative fill time on the k=3 ~60-destination network.
-	SpeedupFillAllVsReference float64 `json:"speedup_fillall_vs_reference"`
 }
 
 // k3n60 is the acceptance-criteria network: 3 types, 60 destinations.
@@ -246,15 +243,6 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 				}
 			}
 		}},
-		{"dp_fillall_reference_k3_n60", 0, func(b *testing.B) {
-			set := k3n60()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exact.ReferenceFillAllRT(set); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{"dp_fillall_seq_k3_n60", 0, func(b *testing.B) {
 			set := k3n60()
 			b.ReportAllocs()
@@ -322,9 +310,8 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 		}})
 	}
 	cases = append(cases, []perfCase{
-		// The two move-evaluation strategies side by side: the seed's full
-		// allocating ComputeTimes walk per candidate vs the incremental
-		// subtree recompute the heuristics now use.
+		// The seed's move evaluation: a full allocating ComputeTimes walk
+		// per candidate (BENCH_engine.json has the engine's batched form).
 		{"move_eval_full_n64", 0, func(b *testing.B) {
 			sch, err := heur.SlowestFirst{}.Schedule(hs)
 			if err != nil {
@@ -347,34 +334,6 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 					b.Fatal(err)
 				}
 				_ = model.RT(sch)
-			}
-		}},
-		{"move_eval_incremental_n64", 0, func(b *testing.B) {
-			sch, err := heur.SlowestFirst{}.Schedule(hs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var tm model.Times
-			model.ComputeTimesInto(sch, &tm)
-			n := len(hs.Nodes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x := model.NodeID(1 + i%(n-1))
-				y := model.NodeID(1 + (i+7)%(n-1))
-				if x == y {
-					continue
-				}
-				if err := sch.SwapNodes(x, y); err != nil {
-					b.Fatal(err)
-				}
-				tm.RecomputeFrom(sch, x)
-				tm.RecomputeFrom(sch, y)
-				if err := sch.SwapNodes(x, y); err != nil {
-					b.Fatal(err)
-				}
-				tm.RecomputeFrom(sch, x)
-				tm.RecomputeFrom(sch, y)
 			}
 		}},
 		{"local_search_n64", 0, func(b *testing.B) {
@@ -408,7 +367,6 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 		GoArch:     runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	nsOf := map[string]int64{}
 	for _, c := range cases {
 		var r testing.BenchmarkResult
 		if c.procs > 0 {
@@ -424,13 +382,9 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 			AllocsPerOp: r.AllocsPerOp(),
 			GoMaxProcs:  c.procs,
 		}
-		nsOf[c.name] = br.NsPerOp
 		report.Results = append(report.Results, br)
 		fmt.Fprintf(os.Stderr, "%-28s %12d ns/op %10d B/op %8d allocs/op\n",
 			c.name, br.NsPerOp, br.BytesPerOp, br.AllocsPerOp)
-	}
-	if seq := nsOf["dp_fillall_seq_k3_n60"]; seq > 0 {
-		report.SpeedupFillAllVsReference = float64(nsOf["dp_fillall_reference_k3_n60"]) / float64(seq)
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -444,8 +398,7 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (fillall speedup vs seed recursive solver: %.1fx)\n",
-		out, report.SpeedupFillAllVsReference)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	return nil
 }
 
@@ -467,7 +420,7 @@ type engineBenchResult struct {
 
 // engineReport is the BENCH_engine.json document. The speedup fields are
 // the acceptance metric of the structure-of-arrays engine: batched
-// EvalMoves ns/move vs the per-move mutate + RecomputeFrom + undo path
+// EvalMoves ns/move vs the per-move mutate + ComputeTimesInto + undo path
 // on the same swap neighborhood.
 type engineReport struct {
 	Tool                 string              `json:"tool"`
@@ -475,8 +428,8 @@ type engineReport struct {
 	GoArch               string              `json:"goarch"`
 	GoMaxProcs           int                 `json:"gomaxprocs"`
 	Results              []engineBenchResult `json:"results"`
-	SpeedupEvalMovesN64  float64             `json:"speedup_evalmoves_vs_recompute_n64"`
-	SpeedupEvalMovesN256 float64             `json:"speedup_evalmoves_vs_recompute_n256"`
+	SpeedupEvalMovesN64  float64             `json:"speedup_evalmoves_vs_fullrecompute_n64"`
+	SpeedupEvalMovesN256 float64             `json:"speedup_evalmoves_vs_fullrecompute_n256"`
 	// SpeedupBatchedSweepN64 is batched schedules/sec over per-schedule
 	// schedules/sec at the NumCPU worker row (largest -cpu width when
 	// NumCPU is not in the matrix).
@@ -529,7 +482,7 @@ func runEngineSuite(out string, cpus []int) error {
 					eng.EvalMoves(moves, outRT)
 				}
 			}},
-			benchCase{name: fmt.Sprintf("recompute_swapnbhd_n%d", n), moves: len(moves), fn: func(b *testing.B) {
+			benchCase{name: fmt.Sprintf("fullrecompute_swapnbhd_n%d", n), moves: len(moves), fn: func(b *testing.B) {
 				var tm model.Times
 				model.ComputeTimesInto(sch, &tm)
 				b.ReportAllocs()
@@ -539,13 +492,10 @@ func runEngineSuite(out string, cpus []int) error {
 						if err := sch.SwapNodes(mv.A, mv.B); err != nil {
 							b.Fatal(err)
 						}
-						tm.RecomputeFrom(sch, mv.A)
-						tm.RecomputeFrom(sch, mv.B)
+						model.ComputeTimesInto(sch, &tm)
 						if err := sch.SwapNodes(mv.A, mv.B); err != nil {
 							b.Fatal(err)
 						}
-						tm.RecomputeFrom(sch, mv.A)
-						tm.RecomputeFrom(sch, mv.B)
 					}
 				}
 			}},
@@ -748,10 +698,10 @@ func runEngineSuite(out string, cpus []int) error {
 			c.name, br.NsPerOp, br.NsPerMove, br.SchedulesPerSec, br.AllocsPerOp)
 	}
 	if ev := nsPerMove["engine_evalmoves_swapnbhd_n64"]; ev > 0 {
-		report.SpeedupEvalMovesN64 = nsPerMove["recompute_swapnbhd_n64"] / ev
+		report.SpeedupEvalMovesN64 = nsPerMove["fullrecompute_swapnbhd_n64"] / ev
 	}
 	if ev := nsPerMove["engine_evalmoves_swapnbhd_n256"]; ev > 0 {
-		report.SpeedupEvalMovesN256 = nsPerMove["recompute_swapnbhd_n256"] / ev
+		report.SpeedupEvalMovesN256 = nsPerMove["fullrecompute_swapnbhd_n256"] / ev
 	}
 	wStar := cpus[len(cpus)-1]
 	for _, w := range cpus {
@@ -774,7 +724,7 @@ func runEngineSuite(out string, cpus []int) error {
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (EvalMoves vs per-move RecomputeFrom: %.1fx at n=64, %.1fx at n=256; batched sweep vs per-schedule at w=%d: %.1fx)\n",
+	fmt.Fprintf(os.Stderr, "wrote %s (EvalMoves vs per-move full recompute: %.1fx at n=64, %.1fx at n=256; batched sweep vs per-schedule at w=%d: %.1fx)\n",
 		out, report.SpeedupEvalMovesN64, report.SpeedupEvalMovesN256, wStar, report.SpeedupBatchedSweepN64)
 	return nil
 }

@@ -55,7 +55,9 @@ func TestDeepChainIterative(t *testing.T) {
 
 	// The model forms survive the same depth.
 	var tm model.Times
-	if err := (model.ReduceModel{}).EvalInto(sch, &tm); err != nil {
+	bound := sch.Clone()
+	bound.BindModel(model.ReduceModel{})
+	if err := model.EvalTimes(bound, &tm); err != nil {
 		t.Fatal(err)
 	}
 	if tm.RT != want {
@@ -79,9 +81,9 @@ func randCollectiveSchedule(t *testing.T, rng *rand.Rand, set *model.MulticastSe
 
 // TestReduceBarrierModelsMatchReferences pins model.ReduceModel and
 // model.BarrierModel to the retained reference evaluators Reduce and
-// BarrierRT on random trees — the oracle contract EvalInto, and through it
-// the engine's reverse ready fold, is certified against for the collective
-// objectives.
+// BarrierRT on random trees — the oracle contract the engine's reverse
+// ready fold, which model.EvalTimes runs, is certified against for the
+// collective objectives.
 func TestReduceBarrierModelsMatchReferences(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		set, err := cluster.Generate(cluster.GenConfig{N: 13, K: 3, Seed: seed})
@@ -96,7 +98,9 @@ func TestReduceBarrierModelsMatchReferences(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tm model.Times
-		if err := (model.ReduceModel{}).EvalInto(sch, &tm); err != nil {
+		reduce := sch.Clone()
+		reduce.BindModel(model.ReduceModel{})
+		if err := model.EvalTimes(reduce, &tm); err != nil {
 			t.Fatal(err)
 		}
 		if tm.RT != red.Done {
@@ -112,7 +116,9 @@ func TestReduceBarrierModelsMatchReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := (model.BarrierModel{}).EvalInto(sch, &tm); err != nil {
+		barrier := sch.Clone()
+		barrier.BindModel(model.BarrierModel{})
+		if err := model.EvalTimes(barrier, &tm); err != nil {
 			t.Fatal(err)
 		}
 		if tm.RT != wantBarrier {

@@ -69,7 +69,7 @@ func BenchmarkFillAllReference(b *testing.B) {
 	set := benchK3N60Set()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReferenceFillAllRT(set); err != nil {
+		if _, err := referenceFillAllRT(set); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ func TestCascadePruningExactAndFewerColumns(t *testing.T) {
 					trial, i, pruned.choice[i], plain.choice[i], set)
 			}
 		}
-		ref, err := NewReference(set.Latency, inst.Types, inst.Counts)
+		ref, err := newReference(set.Latency, inst.Types, inst.Counts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func FuzzCascadePruning(f *testing.F) {
 					i, pruned.value[i], plain.value[i], pruned.choice[i], plain.choice[i], latency, counts)
 			}
 		}
-		ref, err := NewReference(latency, types, counts)
+		ref, err := newReference(latency, types, counts)
 		if err != nil {
 			t.Fatal(err)
 		}

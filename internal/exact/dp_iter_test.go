@@ -26,9 +26,9 @@ func TestIterativeMatchesReferenceRandom(t *testing.T) {
 			t.Fatalf("trial %d: New: %v", trial, err)
 		}
 		dp.FillAll()
-		ref, err := NewReference(set.Latency, inst.Types, inst.Counts)
+		ref, err := newReference(set.Latency, inst.Types, inst.Counts)
 		if err != nil {
-			t.Fatalf("trial %d: NewReference: %v", trial, err)
+			t.Fatalf("trial %d: newReference: %v", trial, err)
 		}
 		ref.FillAll()
 		for s := 0; s < dp.K(); s++ {
@@ -83,7 +83,7 @@ func TestNonMonotoneNetworkExact(t *testing.T) {
 	if lo <= hi {
 		t.Logf("note: instance no longer exhibits non-monotonicity (T=%d vs %d)", lo, hi)
 	}
-	ref, err := NewReference(2, types, counts)
+	ref, err := newReference(2, types, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestIterativeMatchesReferenceTiedTypes(t *testing.T) {
 			t.Fatal(err)
 		}
 		dp.FillAll()
-		ref, err := NewReference(set.Latency, inst.Types, inst.Counts)
+		ref, err := newReference(set.Latency, inst.Types, inst.Counts)
 		if err != nil {
 			t.Fatal(err)
 		}

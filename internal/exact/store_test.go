@@ -99,7 +99,7 @@ func TestTableRoundTripRandom(t *testing.T) {
 		// Non-dedup'd reference oracle over every state of every source
 		// type: equal-Send types must read the same shared plane the
 		// reference computed independently for each of them.
-		ref, err := NewReference(set.Latency, inst.Types, inst.Counts)
+		ref, err := newReference(set.Latency, inst.Types, inst.Counts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestPlaneDedupSharesEqualSendPlanes(t *testing.T) {
 	if dp.stateIndex(1, 0) == dp.stateIndex(2, 0) {
 		t.Fatal("distinct-Send types share a plane")
 	}
-	ref, err := NewReference(3, types, counts)
+	ref, err := newReference(3, types, counts)
 	if err != nil {
 		t.Fatal(err)
 	}

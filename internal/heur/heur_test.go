@@ -211,39 +211,6 @@ func BenchmarkLocalSearch64(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalSearchIncremental isolates the incremental move-evaluation
-// loop (swap + undo + RecomputeFrom) from the base construction, the part
-// the seed re-ran a full allocating ComputeTimes tree walk for.
-func BenchmarkLocalSearchIncremental(b *testing.B) {
-	set := genSet(b, 64, 11)
-	sch, err := core.ScheduleWithReversal(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tm model.Times
-	model.ComputeTimesInto(sch, &tm)
-	n := len(set.Nodes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := model.NodeID(1 + i%(n-1))
-		c := model.NodeID(1 + (i+7)%(n-1))
-		if a == c || set.Nodes[a] == set.Nodes[c] {
-			continue
-		}
-		if err := sch.SwapNodes(a, c); err != nil {
-			b.Fatal(err)
-		}
-		tm.RecomputeFrom(sch, a)
-		tm.RecomputeFrom(sch, c)
-		if err := sch.SwapNodes(a, c); err != nil {
-			b.Fatal(err)
-		}
-		tm.RecomputeFrom(sch, a)
-		tm.RecomputeFrom(sch, c)
-	}
-}
-
 // BenchmarkAnnealing64 covers the annealing loop end to end with its
 // pooled undo bookkeeping.
 func BenchmarkAnnealing64(b *testing.B) {

@@ -61,10 +61,10 @@ func (g ModelGreedy) Schedule(set *model.MulticastSet) (*model.Schedule, error) 
 		sch.BindModel(cm)
 		rev.BindModel(cm)
 		var plain, reversed model.Times
-		if err := cm.EvalInto(sch, &plain); err != nil {
+		if err := model.EvalTimes(sch, &plain); err != nil {
 			return nil, err
 		}
-		if err := cm.EvalInto(rev, &reversed); err != nil {
+		if err := model.EvalTimes(rev, &reversed); err != nil {
 			return nil, err
 		}
 		if reversed.RT < plain.RT {

@@ -214,8 +214,8 @@ func TestAnnealingParityPerModel(t *testing.T) {
 
 // BenchmarkNeighborhoodEvalMoves and BenchmarkNeighborhoodRecompute put
 // the two move-evaluation strategies side by side on the same full swap
-// neighborhood: batched engine scoring vs mutate + RecomputeFrom + undo
-// per candidate. hnowbench -json runs the same pair into
+// neighborhood: batched engine scoring vs mutate + ComputeTimesInto +
+// undo per candidate. hnowbench -json runs the same pair into
 // BENCH_engine.json.
 func swapNeighborhood(set *model.MulticastSet) []model.Move {
 	n := len(set.Nodes)
@@ -265,13 +265,10 @@ func BenchmarkNeighborhoodRecompute(b *testing.B) {
 			if err := sch.SwapNodes(mv.A, mv.B); err != nil {
 				b.Fatal(err)
 			}
-			tm.RecomputeFrom(sch, mv.A)
-			tm.RecomputeFrom(sch, mv.B)
+			model.ComputeTimesInto(sch, &tm)
 			if err := sch.SwapNodes(mv.A, mv.B); err != nil {
 				b.Fatal(err)
 			}
-			tm.RecomputeFrom(sch, mv.A)
-			tm.RecomputeFrom(sch, mv.B)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(moves)), "ns/move")

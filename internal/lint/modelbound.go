@@ -11,19 +11,18 @@ import (
 // bound to a non-base cost model. The value is the index of the schedule
 // argument.
 var modelBoundSinks = map[string]int{
-	"repro/internal/model.ComputeTimes":           0,
-	"repro/internal/model.ComputeTimesInto":       0,
-	"repro/internal/model.RT":                     0,
-	"repro/internal/model.RTInto":                 0,
-	"repro/internal/model.DT":                     0,
-	"repro/internal/model.IsLayered":              0,
-	"(*repro/internal/model.Times).RecomputeFrom": 0,
-	"repro/internal/trace.Tree":                   0,
-	"repro/internal/trace.Gantt":                  0,
-	"repro/internal/trace.DOT":                    0,
-	"repro/internal/trace.SVG":                    0,
-	"repro.ComputeTimes":                          0,
-	"repro.CompletionTime":                        0,
+	"repro/internal/model.ComputeTimes":     0,
+	"repro/internal/model.ComputeTimesInto": 0,
+	"repro/internal/model.RT":               0,
+	"repro/internal/model.RTInto":           0,
+	"repro/internal/model.DT":               0,
+	"repro/internal/model.IsLayered":        0,
+	"repro/internal/trace.Tree":             0,
+	"repro/internal/trace.Gantt":            0,
+	"repro/internal/trace.DOT":              0,
+	"repro/internal/trace.SVG":              0,
+	"repro.ComputeTimes":                    0,
+	"repro.CompletionTime":                  0,
 	// The exact DP scores under the base model by construction: feeding
 	// it a model-bound schedule's Set silently compares across models.
 	"repro/internal/exact.OptimalRT":          0,

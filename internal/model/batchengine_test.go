@@ -288,7 +288,7 @@ func TestBatchEngineSteadyStateAllocFree(t *testing.T) {
 // FuzzBatchEval drives fuzzer-chosen shapes and lane perturbations
 // through the batch evaluator, pinning every lane to a from-scratch
 // ComputeTimes on an equivalently re-costed set — the batch counterpart
-// of FuzzRecomputeFrom. The byte stream perturbs costs one byte per
+// of FuzzEngineMoves. The byte stream perturbs costs one byte per
 // (lane, node) pair: low bits add to send/recv, high bit bumps the lane's
 // uniform latency.
 func FuzzBatchEval(f *testing.F) {

@@ -1,18 +1,22 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // CostModel abstracts the objective a schedule tree is scored under. The
 // base receive-send model of the paper is one point in a family its
 // references span: per-link WAN latencies, M-segment pipelined streaming,
 // the reverse-tree collectives (reduce, barrier) and the node model. A
-// CostModel evaluates a Schedule's shape into Times (EvalInto, the
-// from-scratch definition) and describes itself to the Engine as a
-// recurrence over the flat BFS layout (a forward recurrence M segments
-// wide, a reverse ready fold, or both), so every model is scored move by
-// move with the same incremental subtree walk. Each scenario package
-// retains its own ad-hoc evaluator as the bit-level parity oracle for the
-// implementations here.
+// CostModel describes itself once, as a recurrence over the Engine's flat
+// BFS layout (a forward recurrence M segments wide, a reverse ready fold,
+// or both): EvalTimes scores a whole schedule with it and the Engine
+// scores it move by move with the same incremental subtree walk. The
+// per-node Times a model produces are documented on each implementation;
+// RT is always the objective to minimize. Each scenario package retains
+// its own ad-hoc evaluator as the bit-level parity oracle for the
+// recurrences here.
 //
 // The interface has an unexported method, so every implementation lives
 // in this package and the Engine covers each one.
@@ -27,11 +31,6 @@ type CostModel interface {
 	// (matrix dimensions, segment counts); overhead positivity is the
 	// set's own Validate.
 	Validate(set *MulticastSet) error
-	// EvalInto evaluates sch under the model, writing per-node times and
-	// the DT/RT objectives into tm (reusing its buffers). The semantics
-	// of the per-node arrays are model-specific and documented on each
-	// implementation; RT is always the objective to minimize.
-	EvalInto(sch *Schedule, tm *Times) error
 	// TypeSymmetric reports whether two destinations with equal
 	// (Send, Recv) overheads are interchangeable under the model — i.e.
 	// swapping their tree positions can never change any time. Search
@@ -39,8 +38,9 @@ type CostModel interface {
 	// model returns false (latency rows distinguish equal-overhead
 	// nodes).
 	TypeSymmetric() bool
-	// recurrence returns the Engine configuration that reproduces
-	// EvalInto on set.
+	// recurrence returns the Engine configuration that scores the model
+	// on set, or an error when the model cannot be evaluated on it (a
+	// latency matrix of the wrong size, a segment count out of range).
 	recurrence(set *MulticastSet) (recurrence, error)
 }
 
@@ -82,12 +82,6 @@ func (BaseModel) recurrence(set *MulticastSet) (recurrence, error) {
 	return recurrence{segs: 1, lat: set.Latency}, nil
 }
 
-// EvalInto implements CostModel via ComputeTimesInto.
-func (BaseModel) EvalInto(sch *Schedule, tm *Times) error {
-	computeBaseTimesInto(sch, tm)
-	return nil
-}
-
 // IsBase reports whether cm denotes the base receive-send model (nil,
 // BaseModel{} or *BaseModel all do).
 func IsBase(cm CostModel) bool {
@@ -100,14 +94,29 @@ func IsBase(cm CostModel) bool {
 
 // EvalTimes evaluates sch under its bound cost model (the base model when
 // unbound), writing into tm. It is the model-dispatching form of
-// ComputeTimesInto.
+// ComputeTimesInto: the base model runs its own tree walk, every other
+// model attaches a pooled Engine and reads its times back. A model that
+// cannot be evaluated on sch's set is reported before any scratch is
+// sized. After warmup it allocates nothing.
 func EvalTimes(sch *Schedule, tm *Times) error {
-	if cm := sch.Model(); !IsBase(cm) {
-		return cm.EvalInto(sch, tm)
+	cm := sch.Model()
+	if IsBase(cm) {
+		computeBaseTimesInto(sch, tm)
+		return nil
 	}
-	computeBaseTimesInto(sch, tm)
+	rc, err := cm.recurrence(sch.Set)
+	if err != nil {
+		return err
+	}
+	e := evalEngines.Get().(*Engine)
+	e.attach(sch, rc)
+	e.TimesInto(tm)
+	evalEngines.Put(e)
 	return nil
 }
+
+// evalEngines holds the Engines EvalTimes borrows for one evaluation.
+var evalEngines = sync.Pool{New: func() any { return new(Engine) }}
 
 // LinkModel scores schedules against a per-ordered-pair latency matrix
 // (the WAN direction of the paper's reference [5], Bhat, Raghavendra and
@@ -161,44 +170,6 @@ func (m *LinkModel) recurrence(set *MulticastSet) (recurrence, error) {
 		return recurrence{}, fmt.Errorf("model: latency matrix sized for %d nodes, set has %d", len(m.Lat), len(set.Nodes))
 	}
 	return recurrence{segs: 1, links: m.Lat}, nil
-}
-
-// EvalInto implements CostModel. Delivery/Reception carry the usual
-// receive-send semantics with the per-pair latency term.
-func (m *LinkModel) EvalInto(sch *Schedule, tm *Times) error {
-	n := len(sch.Set.Nodes)
-	if len(m.Lat) != n {
-		return fmt.Errorf("model: latency matrix sized for %d nodes, set has %d", len(m.Lat), n)
-	}
-	tm.Delivery = resizeInt64(tm.Delivery, n)
-	tm.Reception = resizeInt64(tm.Reception, n)
-	for i := range tm.Delivery {
-		tm.Delivery[i] = 0
-		tm.Reception[i] = 0
-	}
-	tm.DT, tm.RT = 0, 0
-	stack := append(tm.stack[:0], 0)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		rv := tm.Reception[v]
-		sv := sch.Set.Nodes[v].Send
-		row := m.Lat[v]
-		for i, w := range sch.children[v] {
-			d := rv + int64(i+1)*sv + row[w]
-			tm.Delivery[w] = d
-			tm.Reception[w] = d + sch.Set.Nodes[w].Recv
-			if d > tm.DT {
-				tm.DT = d
-			}
-			if tm.Reception[w] > tm.RT {
-				tm.RT = tm.Reception[w]
-			}
-			stack = append(stack, w)
-		}
-	}
-	tm.stack = stack[:0]
-	return nil
 }
 
 // wanChildTimes is kernChildTimes with a per-child latency gather: the
@@ -288,69 +259,6 @@ func (m PipelineModel) recurrence(set *MulticastSet) (recurrence, error) {
 	return recurrence{segs: m.Segments, lat: set.Latency}, nil
 }
 
-// EvalInto implements CostModel. The tree is processed in BFS order: a
-// node's whole op sequence recv(1), send(1, kids...), recv(2), ...
-// depends only on its own per-segment arrivals, which depend only on its
-// parent's sequence.
-func (m PipelineModel) EvalInto(sch *Schedule, tm *Times) error {
-	if err := CheckSegments(m.Segments); err != nil {
-		return err
-	}
-	set := sch.Set
-	n := len(set.Nodes)
-	segs := m.Segments
-	tm.Delivery = resizeInt64(tm.Delivery, n)
-	tm.Reception = resizeInt64(tm.Reception, n)
-	for i := range tm.Delivery {
-		tm.Delivery[i] = 0
-		tm.Reception[i] = 0
-	}
-	tm.DT, tm.RT = 0, 0
-	// arrive[v*segs+m] is when segment m is fully delivered to v. The
-	// flat scratch lives in tm so engines reuse it across evaluations.
-	tm.aux = resizeInt64(tm.aux, n*segs)
-	arrive := tm.aux
-	// BFS order reusing the stack scratch as a queue.
-	order := append(tm.stack[:0], 0)
-	for i := 0; i < len(order); i++ {
-		order = append(order, sch.children[order[i]]...)
-	}
-	L := set.Latency
-	for _, v := range order {
-		free := int64(0)
-		kids := sch.children[v]
-		sv := set.Nodes[v].Send
-		av := arrive[int(v)*segs:]
-		for seg := 0; seg < segs; seg++ {
-			if v != 0 {
-				start := free
-				if av[seg] > start {
-					start = av[seg]
-				}
-				free = start + set.Nodes[v].Recv
-				if seg == 0 {
-					tm.Delivery[v] = av[seg]
-				}
-				tm.Reception[v] = free
-			}
-			for _, c := range kids {
-				free += sv
-				arrive[int(c)*segs+seg] = free + L
-			}
-		}
-	}
-	for v := 1; v < n; v++ {
-		if tm.Delivery[v] > tm.DT {
-			tm.DT = tm.Delivery[v]
-		}
-		if tm.Reception[v] > tm.RT {
-			tm.RT = tm.Reception[v]
-		}
-	}
-	tm.stack = order[:0]
-	return nil
-}
-
 // ReduceModel runs the tree in reverse (gather-combine toward the root):
 // leaves start at 0 and each parent absorbs its children's contributions
 // in reverse delivery order, paying the child's sending overhead at the
@@ -373,54 +281,6 @@ func (ReduceModel) recurrence(set *MulticastSet) (recurrence, error) {
 	return recurrence{lat: set.Latency, ready: true}, nil
 }
 
-// EvalInto implements CostModel.
-func (ReduceModel) EvalInto(sch *Schedule, tm *Times) error {
-	n := len(sch.Set.Nodes)
-	tm.Delivery = resizeInt64(tm.Delivery, n)
-	tm.Reception = resizeInt64(tm.Reception, n)
-	reduceReadyInto(sch, tm.Reception, &tm.stack)
-	copy(tm.Delivery, tm.Reception)
-	tm.DT, tm.RT = tm.Reception[0], tm.Reception[0]
-	return nil
-}
-
-// reduceReadyInto computes the reverse-tree ready times into ready
-// (len(set.Nodes) entries; unattached nodes get 0), iteratively: children
-// precede parents in reverse BFS order, so one backward pass folds each
-// node's children in reverse delivery order. Shared by ReduceModel and
-// BarrierModel; parity-pinned to collective.Reduce's recursive
-// definition.
-func reduceReadyInto(sch *Schedule, ready []int64, scratch *[]NodeID) {
-	set := sch.Set
-	for i := range ready {
-		ready[i] = 0
-	}
-	order := append((*scratch)[:0], 0)
-	for i := 0; i < len(order); i++ {
-		order = append(order, sch.children[order[i]]...)
-	}
-	L := set.Latency
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		kids := sch.children[v]
-		if len(kids) == 0 {
-			continue
-		}
-		busy := int64(0)
-		rv := set.Nodes[v].Recv
-		for j := len(kids) - 1; j >= 0; j-- {
-			c := kids[j]
-			arrive := ready[c] + set.Nodes[c].Send + L
-			if arrive < busy {
-				arrive = busy
-			}
-			busy = arrive + rv
-		}
-		ready[v] = busy
-	}
-	*scratch = order[:0]
-}
-
 // BarrierModel is a reduce followed by a broadcast on the same tree:
 // every per-node time is the base-model time offset by the reduce
 // completion (the broadcast starts when the root has absorbed every
@@ -439,22 +299,6 @@ func (BarrierModel) Validate(set *MulticastSet) error { return nil }
 
 func (BarrierModel) recurrence(set *MulticastSet) (recurrence, error) {
 	return recurrence{segs: 1, lat: set.Latency, ready: true}, nil
-}
-
-// EvalInto implements CostModel.
-func (BarrierModel) EvalInto(sch *Schedule, tm *Times) error {
-	computeBaseTimesInto(sch, tm)
-	n := len(sch.Set.Nodes)
-	tm.aux = resizeInt64(tm.aux, n)
-	reduceReadyInto(sch, tm.aux, &tm.stack)
-	done := tm.aux[0]
-	for i := range tm.Delivery {
-		tm.Delivery[i] += done
-		tm.Reception[i] += done
-	}
-	tm.DT += done
-	tm.RT += done
-	return nil
 }
 
 // NodeModel is the single-parameter per-node cost family the paper's
@@ -489,39 +333,6 @@ func (m NodeModel) Validate(set *MulticastSet) error {
 
 func (m NodeModel) recurrence(set *MulticastSet) (recurrence, error) {
 	return recurrence{segs: 1, lat: m.Lambda, noRecv: true}, nil
-}
-
-// EvalInto implements CostModel. Reception equals Delivery (no receive
-// overhead), so RT = DT.
-func (m NodeModel) EvalInto(sch *Schedule, tm *Times) error {
-	set := sch.Set
-	n := len(set.Nodes)
-	tm.Delivery = resizeInt64(tm.Delivery, n)
-	tm.Reception = resizeInt64(tm.Reception, n)
-	for i := range tm.Delivery {
-		tm.Delivery[i] = 0
-		tm.Reception[i] = 0
-	}
-	tm.DT, tm.RT = 0, 0
-	stack := append(tm.stack[:0], 0)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		rv := tm.Reception[v]
-		cv := set.Nodes[v].Send
-		for i, w := range sch.children[v] {
-			d := rv + int64(i+1)*cv + m.Lambda
-			tm.Delivery[w] = d
-			tm.Reception[w] = d
-			if d > tm.DT {
-				tm.DT = d
-			}
-			stack = append(stack, w)
-		}
-	}
-	tm.RT = tm.DT
-	tm.stack = stack[:0]
-	return nil
 }
 
 var (

@@ -87,7 +87,7 @@ func sameTimes(t *testing.T, what string, got, want *Times) {
 // FuzzCostModelEngine drives random schedules bound to fuzzer-chosen cost
 // models through move sequences, pinning the engine — Eval's move
 // predictions, CommitSwap's incremental state, and TimesInto after
-// re-attach — bit-identically to the model's own EvalInto at every step.
+// re-attach — bit-identically to the from-scratch refEval at every step.
 // This is the seam the heuristics stand on when they optimize WAN,
 // pipelined or collective objectives.
 func FuzzCostModelEngine(f *testing.F) {
@@ -113,7 +113,7 @@ func FuzzCostModelEngine(f *testing.F) {
 		eng.Attach(sch)
 		check := func(what string) {
 			t.Helper()
-			if err := cm.EvalInto(sch, &ref); err != nil {
+			if err := refEval(cm, sch, &ref); err != nil {
 				t.Fatal(err)
 			}
 			if eng.DT() != ref.DT || eng.RT() != ref.RT {
@@ -170,7 +170,7 @@ func FuzzCostModelEngine(f *testing.F) {
 				}
 				eng.Attach(sch)
 			}
-			if err := cm.EvalInto(sch, &ref); err != nil {
+			if err := refEval(cm, sch, &ref); err != nil {
 				t.Fatal(err)
 			}
 			if evalDT != ref.DT || evalRT != ref.RT {
@@ -192,7 +192,8 @@ func kindName(k MoveKind) string {
 // TestEngineMatchesEvalIntoPerModel is the deterministic slice of the
 // fuzz target: one mid-size random schedule per model, in both the value
 // and the pointer form, through attach, a swap commit and a relocate
-// re-attach, with every prediction and state pinned to EvalInto.
+// re-attach, with every prediction and state pinned to the from-scratch
+// refEval.
 func TestEngineMatchesEvalIntoPerModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	set := randIncrSet(rng, 14)
@@ -213,14 +214,14 @@ func TestEngineMatchesEvalIntoPerModel(t *testing.T) {
 			var ref, got Times
 			check := func(what string, predDT, predRT int64) {
 				t.Helper()
-				if err := cm.EvalInto(sch, &ref); err != nil {
+				if err := refEval(cm, sch, &ref); err != nil {
 					t.Fatal(err)
 				}
 				if predDT != ref.DT || predRT != ref.RT {
-					t.Fatalf("%s: predicted DT/RT = %d/%d, EvalInto %d/%d", what, predDT, predRT, ref.DT, ref.RT)
+					t.Fatalf("%s: predicted DT/RT = %d/%d, reference %d/%d", what, predDT, predRT, ref.DT, ref.RT)
 				}
 				if eng.DT() != ref.DT || eng.RT() != ref.RT {
-					t.Fatalf("%s: engine DT/RT = %d/%d, EvalInto %d/%d", what, eng.DT(), eng.RT(), ref.DT, ref.RT)
+					t.Fatalf("%s: engine DT/RT = %d/%d, reference %d/%d", what, eng.DT(), eng.RT(), ref.DT, ref.RT)
 				}
 				eng.TimesInto(&got)
 				sameTimes(t, what, &got, &ref)
@@ -269,7 +270,7 @@ func TestEngineMatchesEvalIntoPerModel(t *testing.T) {
 // TestEvalMovesMatchesEvalIntoPerModel scores whole neighborhoods under
 // every model in both forms — all swaps, and every leaf relocation
 // including one back to the tail of its own parent — and pins each
-// prediction to applying the move and re-evaluating with EvalInto. Some
+// prediction to applying the move and re-evaluating with refEval. Some
 // schedules leave destinations unattached (the barrier offsets their
 // times too). The engine must be untouched by the whole pass.
 func TestEvalMovesMatchesEvalIntoPerModel(t *testing.T) {
@@ -316,20 +317,20 @@ func TestEvalMovesMatchesEvalIntoPerModel(t *testing.T) {
 				t.Fatalf("Eval and EvalMoves disagree on %v: %d vs %d", mv, rt, out[i])
 			}
 			undo := applyMove(t, sch, mv)
-			if err := cm.EvalInto(sch, &ref); err != nil {
+			if err := refEval(cm, sch, &ref); err != nil {
 				t.Fatal(err)
 			}
 			if dt != ref.DT || rt != ref.RT {
-				t.Fatalf("trial %d %s %s %v: eval DT/RT = %d/%d, EvalInto after apply %d/%d\ntree after move %s",
+				t.Fatalf("trial %d %s %s %v: eval DT/RT = %d/%d, reference after apply %d/%d\ntree after move %s",
 					trial, cm.Name(), kindName(mv.Kind), mv, dt, rt, ref.DT, ref.RT, sch)
 			}
 			undo()
 		}
-		if err := cm.EvalInto(sch, &ref); err != nil {
+		if err := refEval(cm, sch, &ref); err != nil {
 			t.Fatal(err)
 		}
 		if eng.DT() != ref.DT || eng.RT() != ref.RT {
-			t.Fatalf("trial %d %s: engine DT/RT after the pass = %d/%d, EvalInto %d/%d", trial, cm.Name(), eng.DT(), eng.RT(), ref.DT, ref.RT)
+			t.Fatalf("trial %d %s: engine DT/RT after the pass = %d/%d, reference %d/%d", trial, cm.Name(), eng.DT(), eng.RT(), ref.DT, ref.RT)
 		}
 		eng.TimesInto(&got)
 		sameTimes(t, cm.Name()+" post-eval", &got, &ref)
@@ -372,9 +373,9 @@ func TestBindModelGuards(t *testing.T) {
 }
 
 // TestPipelineSegmentsBounded: an oversized segment count is refused by
-// Validate and by EvalInto before the n·Segments arrival scratch is
-// allocated, and Segments × the set's cost bound must stay within
-// MaxCost.
+// CheckSegments and Validate (TestEvalTimesRejectsUnevaluableModels
+// covers EvalTimes), and Segments × the set's cost bound must stay
+// within MaxCost.
 func TestPipelineSegmentsBounded(t *testing.T) {
 	for _, m := range []int{0, -1, MaxSegments + 1, 1 << 40} {
 		if CheckSegments(m) == nil {
@@ -393,14 +394,6 @@ func TestPipelineSegmentsBounded(t *testing.T) {
 	if huge.Validate(set) == nil {
 		t.Error("Validate accepted 1<<40 segments")
 	}
-	sch := randIncrSchedule(rng, set)
-	var tm Times
-	if huge.EvalInto(sch, &tm) == nil {
-		t.Error("EvalInto accepted 1<<40 segments")
-	}
-	if cap(tm.aux) != 0 {
-		t.Errorf("EvalInto allocated %d arrival slots before rejecting", cap(tm.aux))
-	}
 
 	// Cost bound 2 × (1 + 1 + L) = MaxCost/2 rounded down: two segments
 	// fit, four do not.
@@ -413,6 +406,37 @@ func TestPipelineSegmentsBounded(t *testing.T) {
 	}
 	if (PipelineModel{Segments: 4}).Validate(big) == nil {
 		t.Error("4 segments × the cost bound past MaxCost accepted")
+	}
+}
+
+// TestEvalTimesRejectsUnevaluableModels: a model that cannot be
+// evaluated on the bound schedule's set — 1<<40 pipeline segments, a
+// latency matrix sized for one node fewer — is an error from EvalTimes,
+// not a panic, and it is reported before any engine scratch is sized:
+// EvalTimes allocates no more than building the error itself does.
+func TestEvalTimesRejectsUnevaluableModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	set := randIncrSet(rng, 6)
+	for _, cm := range []CostModel{
+		PipelineModel{Segments: 1 << 40},
+		&PipelineModel{Segments: 1 << 40},
+		randLinkModel(rng, len(set.Nodes)-1),
+	} {
+		sch := randIncrSchedule(rng, set)
+		sch.BindModel(cm)
+		var tm Times
+		if err := EvalTimes(sch, &tm); err == nil {
+			t.Errorf("%s: EvalTimes accepted a model it cannot evaluate", modelLabel(cm))
+		}
+		if cap(tm.Delivery) != 0 || cap(tm.Reception) != 0 {
+			t.Errorf("%s: EvalTimes sized the times before rejecting", modelLabel(cm))
+		}
+		// fmt builds the error from a sync.Pool, which the race detector
+		// drains at random, so the counts only compare without it.
+		errAllocs := testing.AllocsPerRun(20, func() { _, _ = cm.recurrence(set) })
+		if allocs := testing.AllocsPerRun(20, func() { _ = EvalTimes(sch, &tm) }); allocs > errAllocs && !raceEnabled {
+			t.Errorf("%s: EvalTimes allocates %.1f before rejecting, its error %.1f", modelLabel(cm), allocs, errAllocs)
+		}
 	}
 }
 

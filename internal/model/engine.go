@@ -129,19 +129,24 @@ const (
 // configures the recurrence from it: base, link and node run the M = 1
 // forward recurrence (node with instantaneous receptions and lambda as
 // the latency), pipeline the M-wide one, reduce the reverse ready fold
-// alone and barrier both. Every later Eval, EvalMoves, CommitSwap and
-// TimesInto reproduces the model's EvalInto exactly.
+// alone and barrier both. A model that cannot be evaluated on the
+// schedule's set (see EvalTimes, which reports it as an error) panics.
 func (e *Engine) Attach(sch *Schedule) {
-	set := sch.Set
-	n := len(set.Nodes)
 	cm := sch.Model()
 	if IsBase(cm) {
 		cm = BaseModel{}
 	}
-	rc, err := cm.recurrence(set)
+	rc, err := cm.recurrence(sch.Set)
 	if err != nil {
 		panic(fmt.Sprintf("model: Attach: %v", err))
 	}
+	e.attach(sch, rc)
+}
+
+// attach is Attach with the bound model's recurrence already derived.
+func (e *Engine) attach(sch *Schedule, rc recurrence) {
+	set := sch.Set
+	n := len(set.Nodes)
 	e.set = set
 	e.segs, e.L, e.lat, e.rev = rc.segs, rc.lat, rc.links, rc.ready
 	switch {
@@ -535,7 +540,7 @@ func (e *Engine) DT() int64 { return e.dt + e.done }
 func (e *Engine) RT() int64 { return e.rt + e.done }
 
 // TimesInto writes the attached schedule's times into tm in node index
-// order, exactly as the bound model's EvalInto would produce them
+// order, with the per-node semantics documented on the bound cost model
 // (unattached nodes get zero times, or the barrier offset). It reuses
 // tm's buffers and allocates nothing after warmup.
 func (e *Engine) TimesInto(tm *Times) {

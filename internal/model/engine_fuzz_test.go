@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-// FuzzRecomputeFrom drives random schedules through fuzzer-chosen move
-// sequences, cross-checking both incremental evaluators against a
-// from-scratch ComputeTimes at every step: Engine.Eval/EvalMoves must
-// predict the post-move times exactly, and Times.RecomputeFrom must
-// reproduce them exactly after the move is applied.
+// FuzzEngineMoves drives random schedules through fuzzer-chosen move
+// sequences, cross-checking the engine against a from-scratch
+// ComputeTimes at every step: Engine.Eval/EvalMoves must predict the
+// post-move completion times exactly, and after the move is applied
+// (CommitSwap or re-Attach) the engine's per-node times must match.
 //
 // The byte stream encodes one move per 3-byte group: a kind byte (even =
 // swap, odd = relocate) and two operand bytes reduced modulo the node
 // count. Invalid operands (same node, non-leaf relocation, relocation to
 // the current parent) are skipped, so every corpus input is a valid
 // drive sequence.
-func FuzzRecomputeFrom(f *testing.F) {
+func FuzzEngineMoves(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2})
 	f.Add(uint64(7), []byte{1, 3, 0, 0, 2, 5})
 	f.Add(uint64(42), []byte{0, 1, 2, 1, 4, 0, 0, 3, 3, 1, 2, 2})
@@ -32,7 +32,6 @@ func FuzzRecomputeFrom(f *testing.F) {
 		}
 		sch := randIncrSchedule(rng, set)
 		var tm Times
-		ComputeTimesInto(sch, &tm)
 		var eng Engine
 		eng.Attach(sch)
 		out := make([]int64, 1)
@@ -42,10 +41,8 @@ func FuzzRecomputeFrom(f *testing.F) {
 				continue
 			}
 			var mv Move
-			var dirtyA, dirtyB NodeID
 			if kind%2 == 0 {
 				mv = SwapMove(x, y)
-				dirtyA, dirtyB = x, y
 			} else {
 				if !sch.IsLeaf(x) {
 					continue
@@ -55,7 +52,6 @@ func FuzzRecomputeFrom(f *testing.F) {
 					continue
 				}
 				mv = RelocateMove(x, target)
-				dirtyA, dirtyB = sch.Parent(x), x
 			}
 			// Non-mutating batch evaluation first.
 			eng.EvalMoves([]Move{mv}, out)
@@ -83,24 +79,19 @@ func FuzzRecomputeFrom(f *testing.F) {
 				}
 				eng.Attach(sch)
 			}
-			tm.RecomputeFrom(sch, dirtyA)
-			tm.RecomputeFrom(sch, dirtyB)
 			fresh := ComputeTimes(sch)
 			if evalRT != fresh.RT || evalDT != fresh.DT {
 				t.Fatalf("move %v: eval DT/RT %d/%d, fresh %d/%d\ntree %s",
 					mv, evalDT, evalRT, fresh.DT, fresh.RT, sch)
 			}
-			if tm.RT != fresh.RT || tm.DT != fresh.DT {
-				t.Fatalf("move %v: RecomputeFrom DT/RT %d/%d, fresh %d/%d\ntree %s",
-					mv, tm.DT, tm.RT, fresh.DT, fresh.RT, sch)
-			}
 			if eng.RT() != fresh.RT || eng.DT() != fresh.DT {
 				t.Fatalf("move %v: re-attached engine DT/RT %d/%d, fresh %d/%d",
 					mv, eng.DT(), eng.RT(), fresh.DT, fresh.RT)
 			}
+			eng.TimesInto(&tm)
 			for v := range fresh.Delivery {
 				if tm.Delivery[v] != fresh.Delivery[v] || tm.Reception[v] != fresh.Reception[v] {
-					t.Fatalf("move %v: node %d incremental d/r %d/%d, fresh %d/%d",
+					t.Fatalf("move %v: node %d engine d/r %d/%d, fresh %d/%d",
 						mv, v, tm.Delivery[v], tm.Reception[v], fresh.Delivery[v], fresh.Reception[v])
 				}
 			}

@@ -239,11 +239,15 @@ func TestEngineTracksAppliedMoves(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a -race build; race_test.go sets it.
+var raceEnabled bool
+
 // TestEngineSteadyStateAllocFree pins the satellite regression: repeated
 // Attach, whole-neighborhood EvalMoves (swaps and relocations) and
-// CommitSwap on a warmed engine allocate nothing under every cost model,
-// bound in the value and the pointer form, including across nearby
-// instance sizes (the power-of-two scratch growth).
+// CommitSwap on a warmed engine, and EvalTimes on its pooled engines,
+// allocate nothing under every cost model, bound in the value and the
+// pointer form, including across nearby instance sizes (the power-of-two
+// scratch growth).
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	set := randIncrSet(rng, 48)
@@ -276,6 +280,15 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 				eng.CommitSwap(1, 2)
 			}); allocs != 0 {
 				t.Errorf("CommitSwap allocates %.1f per call pair", allocs)
+			}
+			// The race detector drops a quarter of sync.Pool puts, so
+			// EvalTimes's pooled engine is only steady without it.
+			var tm Times
+			if err := EvalTimes(sch, &tm); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { _ = EvalTimes(sch, &tm) }); allocs != 0 && !raceEnabled {
+				t.Errorf("EvalTimes allocates %.1f per call after warmup", allocs)
 			}
 			// Alternating between nearby sizes must not reallocate either:
 			// the scratch growth rounds capacities up. The link model's

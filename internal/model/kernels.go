@@ -11,8 +11,9 @@ package model
 // reslices) in .github/noalloc_allowlist.txt. The straightforward scalar
 // forms are kept in kernels_ref_test.go as the parity oracle for
 // randomized cross-checks; the engine-level oracles remain
-// model.ComputeTimes (engine parity suite + FuzzRecomputeFrom/
-// FuzzBatchEval) and each cost model's EvalInto (FuzzCostModelEngine).
+// model.ComputeTimes (engine parity suite + FuzzEngineMoves/
+// FuzzBatchEval) and the from-scratch per-model evaluators of
+// costmodel_ref_test.go (FuzzCostModelEngine).
 
 // kernChildTimes fills one parent's contiguous children span with
 // delivery and reception times by strength-reduced accumulation:

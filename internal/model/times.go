@@ -1,13 +1,10 @@
 package model
 
 // Times holds the timing of a schedule under the receive-send model. The
-// zero value is ready for use with ComputeTimesInto / RTInto, which reuse
-// its buffers across calls; RecomputeFrom additionally maintains the
-// completion times incrementally under local schedule edits, so move
-// evaluation re-walks only the affected subtree, without allocating.
-// Heuristic neighborhood loops should prefer Engine.EvalMoves, which
-// scores candidates against the structure-of-arrays layout without
-// mutating anything.
+// zero value is ready for use with ComputeTimesInto / RTInto / EvalTimes,
+// which reuse its buffers across calls. Heuristic neighborhood loops
+// should use Engine.EvalMoves, which scores candidates against the
+// structure-of-arrays layout without mutating anything.
 type Times struct {
 	// Delivery[v] is d(v), the time the message is delivered to v. The
 	// source has Delivery[0] = 0 by convention.
@@ -21,8 +18,7 @@ type Times struct {
 	// paper minimizes.
 	RT int64
 
-	stack []NodeID // DFS scratch shared by the full and subtree walks
-	aux   []int64  // flat scratch for the non-base cost models
+	stack []NodeID // DFS scratch
 }
 
 // ComputeTimes evaluates the model recurrences on a schedule, assuming (as
@@ -54,8 +50,7 @@ func ComputeTimesInto(t *Schedule, tm *Times) {
 }
 
 // computeBaseTimesInto is the unguarded base-model recurrence, shared by
-// ComputeTimesInto and the cost models built on top of the base times
-// (BaseModel, BarrierModel).
+// ComputeTimesInto and EvalTimes.
 func computeBaseTimesInto(t *Schedule, tm *Times) {
 	n := len(t.Set.Nodes)
 	tm.Delivery = resizeInt64(tm.Delivery, n)
@@ -88,72 +83,6 @@ func computeBaseTimesInto(t *Schedule, tm *Times) {
 		}
 	}
 	tm.stack = stack[:0]
-}
-
-// RecomputeFrom updates tm after a local edit of the schedule: it
-// re-derives dirty's delivery from its parent's current reception and
-// child rank, re-walks only dirty's subtree, and refreshes DT and RT with
-// one contiguous rescan of the flat time arrays — O(subtree + n) total,
-// the rescan being two cache-friendly linear max passes that replaced
-// the former twin max-trees and their per-touched-node log-factor
-// refresh. That makes this the compatibility path, not the fast one:
-// search loops evaluating many candidates should use Engine.EvalMoves,
-// whose layer aggregates amortize the completion-time maintenance across
-// a whole neighborhood instead of paying a full rescan per move. tm must
-// hold valid times for every node outside dirty's subtree (from a prior
-// ComputeTimesInto or RecomputeFrom on the same schedule).
-//
-// A move that changes several positions (a swap, a leaf relocation) is
-// handled by one RecomputeFrom per affected subtree root. Any call order
-// converges: each call re-reads the parents' current receptions, and a
-// root whose parent was still stale is always nested inside another dirty
-// root's subtree, whose own call rewrites it.
-//
-// A detached destination (RemoveLeaf'd but not yet reinserted) gets zero
-// times, matching the ComputeTimes convention.
-func (tm *Times) RecomputeFrom(t *Schedule, dirty NodeID) {
-	t.requireBase("RecomputeFrom")
-	n := len(t.Set.Nodes)
-	if len(tm.Delivery) != n || len(tm.Reception) != n {
-		// Different instance size: incremental state is meaningless.
-		computeBaseTimesInto(t, tm)
-		return
-	}
-	L := t.Set.Latency
-	switch {
-	case dirty == 0:
-		tm.Delivery[0], tm.Reception[0] = 0, 0
-	case t.parent[dirty] == -1:
-		tm.Delivery[dirty], tm.Reception[dirty] = 0, 0
-		tm.rescanCompletion()
-		return // detached nodes are leaves; nothing below to re-walk
-	default:
-		p := t.parent[dirty]
-		d := tm.Reception[p] + int64(t.ChildRank(dirty))*t.Set.Nodes[p].Send + L
-		tm.Delivery[dirty] = d
-		tm.Reception[dirty] = d + t.Set.Nodes[dirty].Recv
-	}
-	stack := append(tm.stack[:0], dirty)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		rv := tm.Reception[v]
-		sv := t.Set.Nodes[v].Send
-		for i, w := range t.children[v] {
-			d := rv + int64(i+1)*sv + L
-			tm.Delivery[w] = d
-			tm.Reception[w] = d + t.Set.Nodes[w].Recv
-			stack = append(stack, w)
-		}
-	}
-	tm.stack = stack[:0]
-	tm.rescanCompletion()
-}
-
-// rescanCompletion re-derives DT and RT from the flat arrays with one
-// fused branch-free kernel pass over the contiguous int64 slices.
-func (tm *Times) rescanCompletion() {
-	tm.DT, tm.RT = kernMax2(tm.Delivery, tm.Reception[:len(tm.Delivery)], 0, 0)
 }
 
 // resizeInt64 returns s with length n, reusing capacity when possible and

@@ -50,18 +50,20 @@ func requireTimesEqual(t *testing.T, step int, got *Times, sch *Schedule) {
 	}
 }
 
-// TestRecomputeFromMatchesFullRecompute drives long random sequences of
-// the heuristics' move types (swap; leaf relocation with undo) through the
-// incremental evaluator and cross-checks every step against a full
-// ComputeTimes.
-func TestRecomputeFromMatchesFullRecompute(t *testing.T) {
+// TestEngineMatchesFullRecompute drives long random sequences of the
+// heuristics' move types (swap; leaf relocation with undo) through the
+// engine — swaps committed in place, relocations re-attached — and
+// cross-checks every step against a full ComputeTimes.
+func TestEngineMatchesFullRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(30)
 		set := randIncrSet(rng, n)
 		sch := randIncrSchedule(rng, set)
+		var eng Engine
 		var tm Times
-		ComputeTimesInto(sch, &tm)
+		eng.Attach(sch)
+		eng.TimesInto(&tm)
 		requireTimesEqual(t, -1, &tm, sch)
 		for step := 0; step < 60; step++ {
 			switch rng.Intn(2) {
@@ -74,8 +76,7 @@ func TestRecomputeFromMatchesFullRecompute(t *testing.T) {
 				if err := sch.SwapNodes(a, b); err != nil {
 					t.Fatal(err)
 				}
-				tm.RecomputeFrom(sch, a)
-				tm.RecomputeFrom(sch, b)
+				eng.CommitSwap(a, b)
 			case 1: // relocate a random leaf to the tail of another parent
 				leaf := NodeID(1 + rng.Intn(n))
 				if !sch.IsLeaf(leaf) {
@@ -90,15 +91,8 @@ func TestRecomputeFromMatchesFullRecompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := sch.InsertChild(target, leaf, len(sch.Children(target))); err != nil {
-					if e2 := sch.InsertChild(oldParent, leaf, oldIdx); e2 != nil {
-						t.Fatal(e2)
-					}
-					tm.RecomputeFrom(sch, oldParent)
-					tm.RecomputeFrom(sch, leaf)
-					break
+					t.Fatal(err)
 				}
-				tm.RecomputeFrom(sch, oldParent)
-				tm.RecomputeFrom(sch, leaf)
 				// Half the time, undo the move the way local search does.
 				if rng.Intn(2) == 0 {
 					if _, _, err := sch.RemoveLeaf(leaf); err != nil {
@@ -107,10 +101,10 @@ func TestRecomputeFromMatchesFullRecompute(t *testing.T) {
 					if err := sch.InsertChild(oldParent, leaf, oldIdx); err != nil {
 						t.Fatal(err)
 					}
-					tm.RecomputeFrom(sch, oldParent)
-					tm.RecomputeFrom(sch, leaf)
 				}
+				eng.Attach(sch)
 			}
+			eng.TimesInto(&tm)
 			requireTimesEqual(t, step, &tm, sch)
 		}
 	}
@@ -118,26 +112,18 @@ func TestRecomputeFromMatchesFullRecompute(t *testing.T) {
 
 // TestComputeTimesIntoAllocFree verifies the reuse contract: after the
 // first call, repeated evaluation of same-sized schedules allocates
-// nothing, as does the incremental path.
+// nothing.
 func TestComputeTimesIntoAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	set := randIncrSet(rng, 40)
 	sch := randIncrSchedule(rng, set)
 	var tm Times
 	ComputeTimesInto(sch, &tm)
-	tm.RecomputeFrom(sch, 1) // builds the max-trees
 	allocs := testing.AllocsPerRun(50, func() {
 		ComputeTimesInto(sch, &tm)
 	})
 	if allocs != 0 {
 		t.Errorf("ComputeTimesInto allocates %.1f per call after warmup", allocs)
-	}
-	ComputeTimesInto(sch, &tm)
-	allocs = testing.AllocsPerRun(50, func() {
-		tm.RecomputeFrom(sch, 5)
-	})
-	if allocs != 0 {
-		t.Errorf("RecomputeFrom allocates %.1f per call after warmup", allocs)
 	}
 }
 

@@ -44,8 +44,9 @@ func TestNodeModelMatchesInstanceTimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sch.BindModel(model.NodeModel{})
 		var tm model.Times
-		if err := (model.NodeModel{}).EvalInto(sch, &tm); err != nil {
+		if err := model.EvalTimes(sch, &tm); err != nil {
 			t.Fatal(err)
 		}
 		if tm.RT != completion || tm.DT != completion {

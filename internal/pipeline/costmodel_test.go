@@ -25,8 +25,9 @@ func randTestSchedule(t *testing.T, rng *rand.Rand, set *model.MulticastSet) *mo
 
 // TestPipelineModelMatchesTimes pins model.PipelineModel bit-identically
 // to the retained reference evaluator Times on random trees and segment
-// counts — the oracle contract EvalInto, and through it the engine's
-// M-wide forward recurrence, is certified against for pipelined instances.
+// counts — the oracle contract the engine's M-wide forward recurrence,
+// which model.EvalTimes runs, is certified against for pipelined
+// instances.
 func TestPipelineModelMatchesTimes(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		set, err := cluster.Generate(cluster.GenConfig{N: 12, K: 3, Seed: seed})
@@ -41,7 +42,9 @@ func TestPipelineModelMatchesTimes(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got model.Times
-			if err := (model.PipelineModel{Segments: segs}).EvalInto(sch, &got); err != nil {
+			bound := sch.Clone()
+			bound.BindModel(model.PipelineModel{Segments: segs})
+			if err := model.EvalTimes(bound, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.RT != want.RT {
@@ -77,7 +80,9 @@ func TestSegmentsOneMatchesBaseModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		var cmTm model.Times
-		if err := (model.PipelineModel{Segments: 1}).EvalInto(sch, &cmTm); err != nil {
+		bound := sch.Clone()
+		bound.BindModel(model.PipelineModel{Segments: 1})
+		if err := model.EvalTimes(bound, &cmTm); err != nil {
 			t.Fatal(err)
 		}
 		if ref.RT != base.RT || cmTm.RT != base.RT || cmTm.DT != base.DT {

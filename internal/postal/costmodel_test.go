@@ -35,8 +35,9 @@ func TestNodeModelRecoversPostalTimes(t *testing.T) {
 					queue = append(queue, c)
 				}
 			}
+			sch.BindModel(model.NodeModel{Lambda: lambda - 1})
 			var tm model.Times
-			if err := (model.NodeModel{Lambda: lambda - 1}).EvalInto(sch, &tm); err != nil {
+			if err := model.EvalTimes(sch, &tm); err != nil {
 				t.Fatal(err)
 			}
 			if tm.RT != tree.CompletionTime() {

@@ -52,9 +52,10 @@ func TestLinkModelMatchesTopologyTimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm := &model.LinkModel{Lat: topo.Lat}
+		bound := sch.Clone()
+		bound.BindModel(&model.LinkModel{Lat: topo.Lat})
 		var got model.Times
-		if err := cm.EvalInto(sch, &got); err != nil {
+		if err := model.EvalTimes(bound, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got.RT != want.RT || got.DT != want.DT {
@@ -71,7 +72,7 @@ func TestLinkModelMatchesTopologyTimes(t *testing.T) {
 }
 
 // FuzzLinkModelParity is the fuzzing form: random matrices, random trees,
-// LinkModel.EvalInto vs Topology.ComputeTimes, every per-node time.
+// EvalTimes under LinkModel vs Topology.ComputeTimes, every per-node time.
 func FuzzLinkModelParity(f *testing.F) {
 	f.Add(int64(1), int64(3))
 	f.Add(int64(77), int64(9))
@@ -112,8 +113,10 @@ func FuzzLinkModelParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bound := sch.Clone()
+		bound.BindModel(&model.LinkModel{Lat: lat})
 		var got model.Times
-		if err := (&model.LinkModel{Lat: lat}).EvalInto(sch, &got); err != nil {
+		if err := model.EvalTimes(bound, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got.RT != want.RT || got.DT != want.DT {
@@ -197,7 +200,9 @@ func TestGreedyScheduleRejectsBaseScoring(t *testing.T) {
 	// LAN it must differ from the true WAN completion (it pretends every
 	// cross-island hop costs the LAN floor).
 	var wrong model.Times
-	if err := (model.BaseModel{}).EvalInto(sch, &wrong); err != nil {
+	base := sch.Clone()
+	base.BindModel(model.BaseModel{})
+	if err := model.EvalTimes(base, &wrong); err != nil {
 		t.Fatal(err)
 	}
 	if wrong.RT == want.RT {
