@@ -12,7 +12,8 @@ import (
 )
 
 // The benchmarks below regenerate the paper's evaluation artifacts, one
-// per experiment in DESIGN.md's index (E1-E15). Run with
+// per experiment E1–E15 of package internal/experiments (README's CLI
+// table lists the range). Run with
 //
 //	go test -bench=. -benchmem
 //

@@ -1,6 +1,7 @@
 // Command hnowbench regenerates the paper's evaluation artifacts: the
 // Figure 1 reproduction and the empirical validation of every lemma and
-// theorem (experiments E1-E10 in DESIGN.md).
+// theorem (experiments E1–E15, defined in package internal/experiments
+// and listed in README's CLI table).
 //
 // Usage:
 //
@@ -167,6 +168,27 @@ func k3n60() *model.MulticastSet {
 	return &model.MulticastSet{Latency: 1, Nodes: nodes}
 }
 
+// k3n48 is shaped like the tables workload's networks: k=3 with 48
+// destinations, overheads and latency as the cluster generator draws
+// them. It is the generator's seed 25 draw, whose sequential fill cost is
+// the median of the first 31 draws balanced as the workload requires.
+func k3n48() *model.MulticastSet {
+	a := model.Node{Send: 6, Recv: 11}
+	b := model.Node{Send: 15, Recv: 26}
+	c := model.Node{Send: 50, Recv: 67}
+	nodes := []model.Node{c}
+	for i := 0; i < 19; i++ {
+		if i < 13 {
+			nodes = append(nodes, a)
+		}
+		if i < 16 {
+			nodes = append(nodes, b)
+		}
+		nodes = append(nodes, c)
+	}
+	return &model.MulticastSet{Latency: 10, Nodes: nodes}
+}
+
 func k2n40() *model.MulticastSet {
 	fast := model.Node{Send: 1, Recv: 1}
 	slow := model.Node{Send: 2, Recv: 3}
@@ -243,71 +265,46 @@ func runPerfSuite(out string, cpus []int, long bool) error {
 				}
 			}
 		}},
-		{"dp_fillall_seq_k3_n60", 0, func(b *testing.B) {
-			set := k3n60()
+	}
+	// fill measures one full-table build of set: sequential at workers 0,
+	// else the parallel fill at that width under a matching GOMAXPROCS,
+	// so the row measures real cores, not oversubscription.
+	fill := func(name string, set func() *model.MulticastSet, workers int) perfCase {
+		return perfCase{name, workers, func(b *testing.B) {
+			s := set()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exact.BuildTable(set); err != nil {
+				var err error
+				if workers == 0 {
+					_, err = exact.BuildTable(s)
+				} else {
+					_, err = exact.BuildTableParallel(s, workers)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
-		}},
+		}}
 	}
-	// The parallel fill at each -cpu width, run under a matching
-	// GOMAXPROCS so the row measures real cores, not oversubscription.
+	// The k=3 fills sequentially and at each -cpu width: n=60, and the
+	// n=48 network shaped like the benchmark's tables workload.
+	cases = append(cases, fill("dp_fillall_seq_k3_n60", k3n60, 0))
 	for _, w := range cpus {
-		w := w
-		cases = append(cases, perfCase{
-			name:  fmt.Sprintf("dp_fillall_par_k3_n60_w%d", w),
-			procs: w,
-			fn: func(b *testing.B) {
-				set := k3n60()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := exact.BuildTableParallel(set, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
+		cases = append(cases, fill(fmt.Sprintf("dp_fillall_par_k3_n60_w%d", w), k3n60, w))
+	}
+	cases = append(cases, fill("dp_fillall_seq_k3_n48", k3n48, 0))
+	for _, w := range cpus {
+		cases = append(cases, fill(fmt.Sprintf("dp_fillall_par_k3_n48_w%d", w), k3n48, w))
 	}
 	// Higher-arity fills: the k=4 row always, the k=5 row behind -long.
 	// Both run sequentially and at the widest -cpu width so the deep
 	// odometer's cascade and the pool parallelism are measured together.
-	cases = append(cases, perfCase{"dp_fillall_seq_k4_n29", 0, func(b *testing.B) {
-		set := k4n29()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := exact.BuildTable(set); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}})
+	cases = append(cases, fill("dp_fillall_seq_k4_n29", k4n29, 0))
 	if wMax := cpus[len(cpus)-1]; wMax > 1 {
-		cases = append(cases, perfCase{
-			name:  fmt.Sprintf("dp_fillall_par_k4_n29_w%d", wMax),
-			procs: wMax,
-			fn: func(b *testing.B) {
-				set := k4n29()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := exact.BuildTableParallel(set, wMax); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
+		cases = append(cases, fill(fmt.Sprintf("dp_fillall_par_k4_n29_w%d", wMax), k4n29, wMax))
 	}
 	if long {
-		cases = append(cases, perfCase{"dp_fillall_seq_k5_n26", 0, func(b *testing.B) {
-			set := k5n26()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exact.BuildTable(set); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}})
+		cases = append(cases, fill("dp_fillall_seq_k5_n26", k5n26, 0))
 	}
 	cases = append(cases, []perfCase{
 		// The seed's move evaluation: a full allocating ComputeTimes walk

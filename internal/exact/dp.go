@@ -32,15 +32,18 @@
 // the prefix-minimum bounds are exact box minima and need no guard).
 //
 // The crossover search pays on top of the cascade: on balanced n=48, k=3
-// networks (every one verifies monotone) it leaves the examined column
-// count unchanged — the cascade decides which columns are visited — but
+// networks that verify monotone it leaves the examined column count
+// unchanged — the cascade decides which columns are visited — but
 // binary-searches each visited column instead of scanning it, cutting the
-// mean fill time by roughly a fifth.
+// mean fill time by roughly a fifth. Not every such network verifies: 16
+// of the cluster generator's first 31 balanced n=48 draws drop the flag
+// partway through the fill and scan columns exhaustively from there on.
 package exact
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -130,8 +133,9 @@ type DP struct {
 
 	// evalCols counts the odometer columns evalState actually examined
 	// (i.e. not skipped wholesale by a cascade block bound) across all
-	// fills of this DP — the pruning-effectiveness denominator. Each
-	// evalState call adds its local tally once.
+	// fills of this DP — the pruning-effectiveness denominator. evalState
+	// tallies into its worker's fillScratch.cols; each fill adds the
+	// tallies here once, when it ends.
 	evalCols atomic.Int64
 	// noCascade disables the nested block skip; tests use it to prove the
 	// skip changes iteration counts but never values or choices.
@@ -143,17 +147,47 @@ type DP struct {
 }
 
 // fillScratch is the per-goroutine scratch a fill worker threads through
-// fillOne/evalState: the decoded count vector, the split odometer, and
-// the per-reservation block-corner offsets of the cascade levels.
+// fillOne/evalState: the decoded count vector, the split odometer, the
+// per-reservation block-corner offsets of the cascade levels, and the
+// tally of odometer columns examined since the fill last flushed it into
+// evalCols.
+//
+// No shared lines: newScratch lays the workers' scratches out so that no
+// byte one worker writes here lies within scratchGap of another worker's
+// scratch. The odometer steps y on every column and evalState bumps cols
+// on every state, so two workers writing neighbouring bytes would bounce
+// one cache line (or one adjacent-line prefetch pair) between their cores
+// on every step.
 type fillScratch struct {
 	vec    []int
 	y      []int
-	corner []int64
+	corner []int
+	cols   int64
+	_      [scratchGap]byte // keeps the next worker's scratch off these lines
 }
 
-func (dp *DP) newScratch() fillScratch {
-	k := len(dp.types)
-	return fillScratch{vec: make([]int, k), y: make([]int, k), corner: make([]int64, len(dp.odo))}
+// scratchGap is the minimum distance in bytes between two fill workers'
+// written scratch: two 64-byte cache lines, which also covers the pair
+// the adjacent-line prefetcher pulls in together.
+const scratchGap = 128
+
+// newScratch returns scratches for workers fill goroutines. Their vec, y
+// and corner slices are carved from one arena, each worker's run
+// separated from the next and from the arena's ends by scratchGap bytes;
+// the padded fillScratch elements keep the cols tallies as far apart.
+func (dp *DP) newScratch(workers int) []fillScratch {
+	k, m := len(dp.types), len(dp.odo)
+	const gap = scratchGap / (bits.UintSize / 8) // in ints
+	stride := 2*k + m + gap
+	arena := make([]int, gap+workers*stride)
+	scr := make([]fillScratch, workers)
+	for w := range scr {
+		run := arena[gap+w*stride:]
+		scr[w].vec = run[:k:k]
+		scr[w].y = run[k : 2*k : 2*k]
+		scr[w].corner = run[2*k : 2*k+m : 2*k+m]
+	}
+	return scr
 }
 
 const unknown = int64(-1)
@@ -179,7 +213,7 @@ func New(latency int64, types []Type, counts []int) (*DP, error) {
 	for d := range dp.cascade {
 		dp.cascade[d] = make([]int64, total)
 	}
-	dp.seqScratch = dp.newScratch()
+	dp.seqScratch = dp.newScratch(1)[0]
 	dp.monotonePivot.Store(true)
 	dp.buildLayers()
 	return dp, nil
@@ -478,7 +512,7 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (in
 				capax--
 			}
 			corn += int64(capax) * dp.strides[ax]
-			corner[d] = corn
+			corner[d] = int(corn)
 		}
 		// Odometer over the non-pivot axes; yOuter is the encoded partial
 		// split. Splits y <= base componentwise encode without carries, so
@@ -495,7 +529,7 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (in
 			if !dp.noCascade {
 				for d := lvl; d >= 1; d-- {
 					casc := dp.cascade[d-1]
-					aMin := casc[lPlane+yOuter+corner[d-1]] + addA
+					aMin := casc[lPlane+yOuter+int64(corner[d-1])] + addA
 					bMin := casc[sPlane+baseState-yOuter] + S
 					lb := aMin
 					if bMin > lb {
@@ -605,7 +639,7 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (in
 			lvl = j
 		}
 	}
-	dp.evalCols.Add(cols)
+	sc.cols += cols
 	return best, bestChoice
 }
 
@@ -656,6 +690,8 @@ func (dp *DP) fillStates(order []int32, layerOff []int32, lo, hi int) {
 			dp.monotonePivot.Store(false)
 		}
 	}
+	dp.evalCols.Add(sc.cols)
+	sc.cols = 0
 }
 
 // fillOne evaluates one state (s, vecState) of layer t, maintaining the
@@ -805,11 +841,15 @@ func (dp *DP) runLayer(lt *layerTask, sc *fillScratch) (violated bool) {
 // Workers observe monotonicity violations locally and the coordinator
 // merges them at the barrier, so the next layer's pruned sample sees
 // them exactly as it would in the sequential fill.
-func (dp *DP) fillLayers(workers int) {
-	scr := make([]fillScratch, workers)
-	for w := range scr {
-		scr[w] = dp.newScratch()
-	}
+//
+// No shared lines between workers: each worker, the coordinator included,
+// writes per state only into the DP tables and its own scratch from
+// newScratch, which keeps every worker's written bytes at least
+// scratchGap from every other worker's. Column tallies stay in the
+// scratch too and reach evalCols once, after the last layer. It returns
+// how many layers went through the pool (the rest ran inline).
+func (dp *DP) fillLayers(workers int) (pooled int) {
+	scr := dp.newScratch(workers)
 	lt := &layerTask{}
 	violated := make([]bool, workers)
 	work := make(chan struct{}, workers-1)
@@ -841,6 +881,7 @@ func (dp *DP) fillLayers(workers int) {
 				violated[0] = true
 			}
 		} else {
+			pooled++
 			lt.chunk = batch.Chunk(n, workers)
 			lt.cursor.Store(0)
 			wg.Add(workers - 1)
@@ -860,6 +901,10 @@ func (dp *DP) fillLayers(workers int) {
 		}
 	}
 	close(work)
+	for w := range scr {
+		dp.evalCols.Add(scr[w].cols)
+	}
+	return pooled
 }
 
 // typeTree is an optimal schedule expressed over types rather than node

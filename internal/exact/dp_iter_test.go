@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -170,7 +171,9 @@ func TestIterativeMatchesReferenceTiedTypes(t *testing.T) {
 
 // TestParallelFillMatchesSequential checks FillAllParallel against the
 // sequential fill state for state (values and reconstruction choices).
-// Run under -race this also exercises the layer-barrier discipline.
+// Run under -race this also exercises the layer-barrier discipline. These
+// networks are small enough that every layer runs inline on the
+// coordinator; TestParallelPoolMatchesSequential covers the pool.
 func TestParallelFillMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4099))
 	for trial := 0; trial < 8; trial++ {
@@ -190,17 +193,105 @@ func TestParallelFillMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		par.FillAllParallel(4)
-		if len(seq.value) != len(par.value) {
-			t.Fatalf("trial %d: state counts differ", trial)
+		assertFillsMatch(t, fmt.Sprintf("trial %d", trial), seq, par)
+	}
+}
+
+// TestParallelPoolMatchesSequential drives networks big enough that their
+// middle layers go through the worker pool: the tables-shaped balanced
+// k=3, n=48 network, which stays monotone, so the pool runs the crossover
+// search throughout; a balanced n=48 network whose pivot monotonicity
+// fails at layer 3, before the pool's first layer, so the pool only scans
+// columns exhaustively; and a k=3 network whose monotonicity fails only
+// after the pool has filled pruned layers, so the pool runs both. At 2
+// and 4 workers the values, choices and EvalColumns must equal the
+// sequential fill's.
+func TestParallelPoolMatchesSequential(t *testing.T) {
+	tables, err := Analyze(benchK3N48Set())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		dropsEarly  = iota // before the first pooled layer
+		neverDrops         // monotone to the last layer
+		dropsInPool        // after at least one pooled, pruned layer
+	)
+	cases := []struct {
+		name    string
+		latency int64
+		types   []Type
+		counts  []int
+		drop    int
+	}{
+		{"tables_k3_n48", 10, tables.Types, tables.Counts, neverDrops},
+		{"early_drop_k3_n48", 10, []Type{{4, 6}, {26, 41}, {49, 56}}, []int{16, 16, 16}, dropsEarly},
+		{"late_drop_k3_n51", 9, []Type{{4, 5}, {5, 9}, {6, 12}}, []int{15, 20, 16}, dropsInPool},
+	}
+	for _, c := range cases {
+		seq, err := New(c.latency, c.types, c.counts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range seq.value {
-			if seq.value[i] != par.value[i] {
-				t.Fatalf("trial %d: value[%d]: seq=%d par=%d", trial, i, seq.value[i], par.value[i])
+		// FillAll one layer at a time, noting where monotonicity drops
+		// and which layer is the first big enough for the pool.
+		firstPool, drop := -1, -1
+		for l := 0; l+1 < len(seq.layerOff); l++ {
+			if firstPool < 0 && int(seq.layerOff[l+1]-seq.layerOff[l])*seq.Planes() >= smallLayerFill {
+				firstPool = l
 			}
-			if seq.choice[i] != par.choice[i] {
-				t.Fatalf("trial %d: choice[%d]: seq=%d par=%d", trial, i, seq.choice[i], par.choice[i])
+			seq.fillStates(seq.order, seq.layerOff, l, l+1)
+			if drop < 0 && !seq.monotonePivot.Load() {
+				drop = l
 			}
 		}
+		seq.releasePruneState()
+		got := dropsInPool
+		switch {
+		case drop < 0:
+			got = neverDrops
+		case drop < firstPool:
+			got = dropsEarly
+		}
+		if got != c.drop {
+			t.Fatalf("%s: monotonicity drops at layer %d (first pooled layer %d), want case %d", c.name, drop, firstPool, c.drop)
+		}
+		for _, w := range []int{2, 4} {
+			par, err := New(c.latency, c.types, c.counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// fillLayers directly: FillAllParallel would clamp w to
+			// GOMAXPROCS.
+			pooled := par.fillLayers(w)
+			par.releasePruneState()
+			if pooled == 0 {
+				t.Fatalf("%s w%d: no layer went through the pool", c.name, w)
+			}
+			assertFillsMatch(t, fmt.Sprintf("%s w%d", c.name, w), seq, par)
+		}
+	}
+}
+
+// assertFillsMatch fails unless par holds exactly seq's values, choices,
+// examined column count and monotonicity verdict.
+func assertFillsMatch(t *testing.T, name string, seq, par *DP) {
+	t.Helper()
+	if len(seq.value) != len(par.value) {
+		t.Fatalf("%s: state counts differ", name)
+	}
+	for i := range seq.value {
+		if seq.value[i] != par.value[i] {
+			t.Fatalf("%s: value[%d]: seq=%d par=%d", name, i, seq.value[i], par.value[i])
+		}
+		if seq.choice[i] != par.choice[i] {
+			t.Fatalf("%s: choice[%d]: seq=%d par=%d", name, i, seq.choice[i], par.choice[i])
+		}
+	}
+	if s, p := seq.EvalColumns(), par.EvalColumns(); s != p {
+		t.Fatalf("%s: EvalColumns: seq=%d par=%d", name, s, p)
+	}
+	if s, p := seq.monotonePivot.Load(), par.monotonePivot.Load(); s != p {
+		t.Fatalf("%s: monotonePivot: seq=%v par=%v", name, s, p)
 	}
 }
 

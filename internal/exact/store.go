@@ -318,7 +318,7 @@ func readTableBytes(data []byte) (*Table, error) {
 	}
 	dp.value = value
 	dp.choice = choice
-	dp.seqScratch = dp.newScratch()
+	dp.seqScratch = dp.newScratch(1)[0]
 	dp.monotonePivot.Store(true)
 	// No pmin/cascade and no layer ordering: a loaded table is fully
 	// filled, so every fill path that would need them is unreachable.

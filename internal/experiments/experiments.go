@@ -1,9 +1,9 @@
 // Package experiments regenerates every evaluation artifact of the paper:
 // Figure 1 and the empirical validation of each lemma and theorem, plus
-// the sensitivity and baseline studies the DESIGN.md experiment index
-// (E1-E10) defines. Each experiment returns a human-readable report; the
-// cmd/hnowbench binary prints them and the root bench suite times their
-// kernels.
+// the sensitivity, baseline and scenario studies: experiments E1–E15, as
+// README's CLI table lists them. Each experiment returns a human-readable
+// report; the cmd/hnowbench binary prints them and the root bench suite
+// times their kernels.
 //
 // The trial fan-outs (E3, E4, E5's cross-check, E6, E7, E8, E10, E11's
 // quality comparison, E12) run on the shared batch.ForEach worker pool:
