@@ -7,6 +7,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/heur"
+	"repro/internal/model"
 	"repro/internal/nodemodel"
 	"repro/internal/wan"
 )
@@ -335,13 +336,16 @@ func BenchmarkE15WAN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	g := heur.ModelGreedy{Model: &model.LinkModel{Lat: topo.Lat}}
+	set := topo.BaseSet(topo.MinLatency())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sch, err := topo.Greedy()
+		sch, err := g.Schedule(set)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := topo.ComputeTimes(sch); err != nil {
+		var tm model.Times
+		if err := model.EvalTimes(sch, &tm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -276,8 +276,13 @@ func PostalScheduler() Scheduler { return postal.Scheduler{} }
 
 // PipelineRT streams M segments down the schedule tree, interpreting the
 // instance overheads as per-segment costs, and returns the completion
-// time. With M = 1 it equals CompletionTime.
-func PipelineRT(sch *Schedule, segments int) (int64, error) { return pipeline.RT(sch, segments) }
+// time. With M = 1 it equals CompletionTime. It returns an error for an
+// incomplete tree, for a segment count outside [1, 4096], and when the
+// segment count times the set's cost bound could overflow the time
+// arithmetic.
+func PipelineRT(sch *Schedule, segments int) (int64, error) {
+	return evalRT(sch, model.PipelineModel{Segments: segments})
+}
 
 // SplitSegments derives the per-segment instance for streaming a message
 // in M equal parts (pure-bandwidth overhead division; for fixed+per-KB
@@ -298,13 +303,23 @@ func PlanCollectives(s Scheduler, set *MulticastSet) (*CollectivePlan, error) {
 
 // ReduceRT analyzes the schedule tree as a reduction toward the source
 // and returns the completion time.
-func ReduceRT(sch *Schedule) (int64, error) {
-	r, err := collective.Reduce(sch)
-	if err != nil {
-		return 0, err
-	}
-	return r.Done, nil
-}
+func ReduceRT(sch *Schedule) (int64, error) { return evalRT(sch, model.ReduceModel{}) }
 
 // BarrierRT returns the completion time of reduce + broadcast on the tree.
-func BarrierRT(sch *Schedule) (int64, error) { return collective.BarrierRT(sch) }
+func BarrierRT(sch *Schedule) (int64, error) { return evalRT(sch, model.BarrierModel{}) }
+
+// evalRT scores a complete tree under cm. It binds cm on a clone, so the
+// caller's schedule keeps its own binding, whatever that is.
+func evalRT(sch *Schedule, cm model.CostModel) (int64, error) {
+	if err := sch.Validate(); err != nil {
+		return 0, err
+	}
+	if err := cm.Validate(sch.Set); err != nil {
+		return 0, err
+	}
+	bound := sch.Clone()
+	bound.BindModel(cm)
+	var tm model.Times
+	err := model.EvalTimes(bound, &tm)
+	return tm.RT, err
+}

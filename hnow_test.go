@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/model"
 )
 
 func figure1(t testing.TB) *MulticastSet {
@@ -208,5 +210,58 @@ func TestInvariantsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 120, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestModelWrappersValidateAndKeepBinding pins the cost-model wrappers'
+// contract: PipelineRT rejects a segment count outside [1, MaxSegments],
+// a segment count whose cost could overflow and an incomplete tree, and
+// no wrapper changes the binding of the schedule it is handed.
+func TestModelWrappersValidateAndKeepBinding(t *testing.T) {
+	set := figure1(t)
+	sch, err := Greedy(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{0, model.MaxSegments + 1} {
+		if _, err := PipelineRT(sch, m); err == nil {
+			t.Errorf("PipelineRT accepted %d segments", m)
+		}
+	}
+	huge, err := NewMulticastSet(1, Node{Send: 1 << 50, Recv: 1 << 50}, Node{Send: 1 << 50, Recv: 1 << 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeSch, err := Greedy(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PipelineRT(hugeSch, model.MaxSegments); err == nil {
+		t.Error("PipelineRT accepted a segment count whose cost overflows MaxCost")
+	}
+	incomplete := NewSchedule(set)
+	incomplete.MustAddChild(0, 1)
+	wrappers := []struct {
+		name string
+		rt   func(*Schedule) (int64, error)
+	}{
+		{"PipelineRT", func(s *Schedule) (int64, error) { return PipelineRT(s, 3) }},
+		{"ReduceRT", ReduceRT},
+		{"BarrierRT", BarrierRT},
+	}
+	for _, w := range wrappers {
+		if _, err := w.rt(incomplete); err == nil {
+			t.Errorf("%s accepted an incomplete tree", w.name)
+		}
+		for _, cm := range []model.CostModel{nil, model.NodeModel{Lambda: 2}, model.PipelineModel{Segments: 5}} {
+			bound := sch.Clone()
+			bound.BindModel(cm)
+			if _, err := w.rt(bound); err != nil {
+				t.Fatalf("%s on a schedule bound to %v: %v", w.name, cm, err)
+			}
+			if bound.Model() != cm {
+				t.Errorf("%s rebound the caller's schedule from %v to %v", w.name, cm, bound.Model())
+			}
+		}
 	}
 }

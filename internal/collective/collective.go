@@ -16,6 +16,9 @@
 //     destination delivered becomes the first reduced), which lets a
 //     pipelined tree drain symmetrically.
 //   - Barrier is a reduce followed by a broadcast on the same tree.
+//
+// model.ReduceModel and model.BarrierModel evaluate reduce and barrier on
+// the engine's flat layout.
 package collective
 
 import (
@@ -23,126 +26,6 @@ import (
 
 	"repro/internal/model"
 )
-
-// BroadcastRT is the completion time of using the schedule as a broadcast;
-// identical to the multicast reception completion time.
-func BroadcastRT(sch *model.Schedule) int64 {
-	return model.RT(sch)
-}
-
-// ReduceTimes holds the reverse-tree analysis.
-type ReduceTimes struct {
-	// Ready[v] is when v has combined all its children's contributions
-	// and is ready to send upward (leaves: 0).
-	Ready []int64
-	// Done is the time the root has absorbed every contribution: the
-	// reduce completion time.
-	Done int64
-}
-
-// Reduce analyzes the schedule tree as a reduction toward the source. For
-// each node v with children c_1..c_k (processed in reverse delivery
-// order), v receives contribution i at
-//
-//	recv_i = max(recv_{i-1}, ready(c_i) + osend(c_i) + L) + orecv(v)
-//
-// where recv_0 = ready(v)'s own-subtree base of 0 for leaves; v is busy
-// orecv(v) per absorbed message and children must have finished their own
-// subtrees before sending up.
-func Reduce(sch *model.Schedule) (ReduceTimes, error) {
-	if err := sch.Validate(); err != nil {
-		return ReduceTimes{}, err
-	}
-	n := len(sch.Set.Nodes)
-	rt := ReduceTimes{Ready: make([]int64, n)}
-	// Iterative bottom-up pass: BFS order puts parents before children, so
-	// scanning it in reverse sees every child's ready time before its
-	// parent. No recursion, so a chain schedule of depth n cannot overflow
-	// the stack.
-	order := make([]model.NodeID, 0, n)
-	order = append(order, 0)
-	for i := 0; i < len(order); i++ {
-		order = append(order, sch.Children(order[i])...)
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		rt.Ready[v] = absorbChildren(sch, v, rt.Ready, nil)
-	}
-	rt.Done = rt.Ready[0]
-	return rt, nil
-}
-
-// absorbChildren folds v's children's contributions in reverse delivery
-// order:
-//
-//	recv_i = max(recv_{i-1}, ready(c_i) + osend(c_i) + L) + orecv(v)
-//
-// returning v's ready (busy-until) time. When absorbAt is non-nil the
-// per-child absorb completion times are recorded into it. Reduce and
-// Gather share this loop so the two recurrences cannot drift.
-func absorbChildren(sch *model.Schedule, v model.NodeID, ready []int64, absorbAt map[model.NodeID]int64) int64 {
-	set := sch.Set
-	kids := sch.Children(v)
-	busyUntil := int64(0)
-	for i := len(kids) - 1; i >= 0; i-- {
-		c := kids[i]
-		arrive := ready[c] + set.Nodes[c].Send + set.Latency
-		if arrive < busyUntil {
-			arrive = busyUntil
-		}
-		busyUntil = arrive + set.Nodes[v].Recv
-		if absorbAt != nil {
-			absorbAt[c] = busyUntil
-		}
-	}
-	return busyUntil
-}
-
-// BarrierRT is the completion time of a barrier implemented as a reduce
-// followed by a broadcast on the same schedule tree.
-func BarrierRT(sch *model.Schedule) (int64, error) {
-	red, err := Reduce(sch)
-	if err != nil {
-		return 0, err
-	}
-	return red.Done + model.RT(sch), nil
-}
-
-// Gather returns, for every node, the time its contribution reaches the
-// root during a reduce; index 0 is the root's own (time its combine
-// completes). Useful for diagnosing stragglers in the reverse tree.
-func Gather(sch *model.Schedule) ([]int64, error) {
-	red, err := Reduce(sch)
-	if err != nil {
-		return nil, err
-	}
-	n := len(sch.Set.Nodes)
-	out := make([]int64, n)
-	// A node's contribution reaches the root when the root has absorbed
-	// the message of the subtree containing it; conservatively this is the
-	// absorb time of its top-level ancestor's message. Recompute the
-	// per-child absorb times at the root with the same fold Reduce uses.
-	kids := sch.Children(0)
-	absorbAt := make(map[model.NodeID]int64, len(kids))
-	absorbChildren(sch, 0, red.Ready, absorbAt)
-	// Propagate iteratively (deep chains again): every node inherits its
-	// top-level ancestor's absorb time.
-	out[0] = red.Done
-	stack := make([]model.NodeID, 0, len(kids))
-	for _, c := range kids {
-		out[c] = absorbAt[c]
-		stack = append(stack, c)
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range sch.Children(v) {
-			out[c] = out[v]
-			stack = append(stack, c)
-		}
-	}
-	return out, nil
-}
 
 // Plan couples a scheduler with the collective analyses, so callers can
 // ask "what does this algorithm's tree cost for broadcast/reduce/barrier"
@@ -155,16 +38,22 @@ type Plan struct {
 }
 
 // PlanFor builds the scheduler's tree for the set and analyzes all three
-// collectives on it.
+// collectives on it. Reduce is scored on a model-bound clone, so
+// Plan.Schedule stays unbound.
 func PlanFor(s model.Scheduler, set *model.MulticastSet) (*Plan, error) {
 	sch, err := s.Schedule(set)
 	if err != nil {
 		return nil, fmt.Errorf("collective: %s: %w", s.Name(), err)
 	}
-	red, err := Reduce(sch)
-	if err != nil {
+	if err := sch.Validate(); err != nil {
+		return nil, err
+	}
+	red := sch.Clone()
+	red.BindModel(model.ReduceModel{})
+	var tm model.Times
+	if err := model.EvalTimes(red, &tm); err != nil {
 		return nil, err
 	}
 	bc := model.RT(sch)
-	return &Plan{Schedule: sch, Broadcast: bc, Reduce: red.Done, Barrier: red.Done + bc}, nil
+	return &Plan{Schedule: sch, Broadcast: bc, Reduce: tm.RT, Barrier: tm.RT + bc}, nil
 }

@@ -24,8 +24,15 @@ func genSchedule(t *testing.T, n int, seed int64) *model.Schedule {
 }
 
 func TestBroadcastEqualsMulticastRT(t *testing.T) {
-	sch := genSchedule(t, 20, 1)
-	if BroadcastRT(sch) != model.RT(sch) {
+	set, err := cluster.Generate(cluster.GenConfig{N: 20, K: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanFor(core.Greedy{}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Broadcast != model.RT(plan.Schedule) {
 		t.Error("broadcast RT differs from multicast RT")
 	}
 }
@@ -113,26 +120,6 @@ func TestBarrierIsReducePlusBroadcast(t *testing.T) {
 	}
 	if b != red.Done+model.RT(sch) {
 		t.Errorf("barrier = %d, want %d", b, red.Done+model.RT(sch))
-	}
-}
-
-func TestGatherBounds(t *testing.T) {
-	sch := genSchedule(t, 25, 6)
-	red, err := Reduce(sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Gather(sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g[0] != red.Done {
-		t.Errorf("root gather = %d, want %d", g[0], red.Done)
-	}
-	for v := 1; v < len(g); v++ {
-		if g[v] <= 0 || g[v] > red.Done {
-			t.Errorf("gather[%d] = %d outside (0, %d]", v, g[v], red.Done)
-		}
 	}
 }
 

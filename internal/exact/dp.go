@@ -34,10 +34,10 @@
 // The crossover search pays on top of the cascade: on balanced n=48, k=3
 // networks that verify monotone it leaves the examined column count
 // unchanged — the cascade decides which columns are visited — but
-// binary-searches each visited column instead of scanning it, cutting the
-// mean fill time by roughly a fifth. Not every such network verifies: 16
-// of the cluster generator's first 31 balanced n=48 draws drop the flag
-// partway through the fill and scan columns exhaustively from there on.
+// binary-searches each visited column, cutting their mean sequential fill
+// time by about two fifths. Not every such network verifies: 40 of the
+// cluster generator's first 60 balanced n=48 draws drop the flag partway
+// through the fill and scan columns exhaustively from there on.
 package exact
 
 import (

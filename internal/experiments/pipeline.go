@@ -48,7 +48,7 @@ func E13Pipelining() string {
 			if err != nil {
 				return fmt.Sprintf("E13: %s: %v", c.name, err)
 			}
-			rt, err := pipeline.RT(sch, m)
+			rt, err := modelRT(sch, model.PipelineModel{Segments: m})
 			if err != nil {
 				return fmt.Sprintf("E13: %v", err)
 			}
@@ -84,7 +84,7 @@ func E13Pipelining() string {
 			if err != nil {
 				return fmt.Sprintf("E13: %s: %v", c.name, err)
 			}
-			rt, err := pipeline.RT(sch, m)
+			rt, err := modelRT(sch, model.PipelineModel{Segments: m})
 			if err != nil {
 				return fmt.Sprintf("E13: %v", err)
 			}
@@ -101,6 +101,17 @@ func E13Pipelining() string {
 		"single-shot regime (the paper's setting) and the chain's full overlap\n" +
 		"wins once the message streams in many segments.\n")
 	return b.String()
+}
+
+// modelRT binds cm onto sch, which the experiment owns, and scores it.
+func modelRT(sch *model.Schedule, cm model.CostModel) (int64, error) {
+	sch.BindModel(cm)
+	if err := cm.Validate(sch.Set); err != nil {
+		return 0, err
+	}
+	var tm model.Times
+	err := model.EvalTimes(sch, &tm)
+	return tm.RT, err
 }
 
 // E14Postal compares the postal-model optimal tree shape (the paper's

@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/heur"
+	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/wan"
 )
@@ -39,11 +41,12 @@ func E15WAN(trials int) string {
 			if err != nil {
 				return fmt.Sprintf("E15: %v", err)
 			}
-			wsch, err := topo.Greedy()
+			lm := &model.LinkModel{Lat: topo.Lat}
+			wsch, err := heur.ModelGreedy{Model: lm}.Schedule(topo.BaseSet(topo.MinLatency()))
 			if err != nil {
 				return fmt.Sprintf("E15: %v", err)
 			}
-			wt, err := topo.ComputeTimes(wsch)
+			wrt, err := modelRT(wsch, lm)
 			if err != nil {
 				return fmt.Sprintf("E15: %v", err)
 			}
@@ -51,12 +54,12 @@ func E15WAN(trials int) string {
 			if err != nil {
 				return fmt.Sprintf("E15: %v", err)
 			}
-			ot, err := topo.ComputeTimes(osch)
+			ort, err := modelRT(osch, lm)
 			if err != nil {
 				return fmt.Sprintf("E15: %v", err)
 			}
-			aware += float64(wt.RT)
-			oblivious += float64(ot.RT)
+			aware += float64(wrt)
+			oblivious += float64(ort)
 		}
 		tb.AddRow(cfg.name, fmt.Sprintf("%dx", cfg.wan/cfg.lan),
 			aware/float64(trials), oblivious/float64(trials), oblivious/aware)

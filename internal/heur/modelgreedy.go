@@ -7,13 +7,11 @@ import (
 
 // ModelGreedy runs the paper's greedy construction under an arbitrary
 // cost model and returns a model-bound schedule. Under the base model it
-// defers to core.Greedy; under the link model it reproduces the WAN-aware
-// greedy (wan.Topology.Greedy) — earliest completion over attached
-// senders with the per-pair latency in the key, scanned in ascending node
-// order with strict-less tie-breaking — and under the remaining models it
-// builds the base greedy tree and scores it with the model. It is the
-// "scenario greedy" baseline the model-aware searches start from and are
-// measured against.
+// defers to core.Greedy; under the link model it is the WAN-aware greedy
+// (earliest completion over attached senders with the per-pair latency
+// in the key); under the remaining models it builds the base greedy tree
+// and scores it with the model. It is the "scenario greedy" baseline the
+// model-aware searches start from and are measured against.
 type ModelGreedy struct {
 	// Model is the cost model (nil or BaseModel: the base greedy).
 	Model model.CostModel
@@ -78,9 +76,9 @@ func (g ModelGreedy) Schedule(set *model.MulticastSet) (*model.Schedule, error) 
 
 // linkGreedy is the WAN-aware greedy on a base set plus latency matrix:
 // destinations in non-decreasing overhead order, each attached under the
-// sender with the earliest pair-latency-aware completion. The scan and
-// tie-breaking replicate wan.Topology.Greedy exactly, so both build the
-// same tree on the same instance.
+// sender with the earliest pair-latency-aware completion: an O(n^2) scan
+// in ascending node order with strict-less tie-breaking, since the key
+// depends on the (sender, destination) pair.
 func linkGreedy(set *model.MulticastSet, lat [][]int64) (*model.Schedule, error) {
 	n := len(set.Nodes)
 	sch := model.NewSchedule(set)

@@ -34,7 +34,6 @@ var modelBoundSinks = map[string]int{
 
 // Calls whose schedule result may arrive bound to a non-base cost model.
 var modelBoundSources = map[string]string{
-	"(*repro/internal/wan.Topology).Greedy":      "wan.Topology.Greedy",
 	"(repro/internal/heur.ModelGreedy).Schedule": "heur.ModelGreedy.Schedule",
 }
 
@@ -63,8 +62,8 @@ type mbTaint struct {
 
 // ModelBound returns the analyzer enforcing PR 8's invariant statically:
 // a *model.Schedule that may be bound to a non-base cost model (anything
-// flowing from BindModel, heur.ModelGreedy, wan.Topology.Greedy, or the
-// schedulers registry.LookupFor/SchedulersFor/SelectFor hand out) must
+// flowing from BindModel, heur.ModelGreedy, or the schedulers
+// registry.LookupFor/SchedulersFor/SelectFor hand out) must
 // not reach a base-model-only helper without an intervening model check.
 // The exact solver's entry points are sinks too — via the schedule's
 // .Set field, since exact scores under the base model by construction.

@@ -14,11 +14,10 @@ import (
 )
 
 // pr8Shape is the historical PR 8 headline bug, preserved as the golden
-// positive: a wan.Topology.Greedy schedule carries a bound LinkModel,
-// and scoring it with the base-model helper silently reports LAN-floor
-// times.
+// positive: a WAN greedy schedule carries a bound LinkModel, and scoring
+// it with the base-model helper silently reports LAN-floor times.
 func pr8Shape(topo *wan.Topology) (int64, error) {
-	sch, err := topo.Greedy()
+	sch, err := heur.ModelGreedy{Model: &model.LinkModel{Lat: topo.Lat}}.Schedule(topo.BaseSet(topo.MinLatency()))
 	if err != nil {
 		return 0, err
 	}
@@ -28,7 +27,7 @@ func pr8Shape(topo *wan.Topology) (int64, error) {
 // pr8Fixed is the same shape with the sanctioned fix: evaluate through
 // the model-dispatching path instead of the base-only helper.
 func pr8Fixed(topo *wan.Topology) (int64, error) {
-	sch, err := topo.Greedy()
+	sch, err := heur.ModelGreedy{Model: &model.LinkModel{Lat: topo.Lat}}.Schedule(topo.BaseSet(topo.MinLatency()))
 	if err != nil {
 		return 0, err
 	}
@@ -131,7 +130,7 @@ func plainScheduleClean(sch *model.Schedule) int64 {
 // base-model optimum through its own Set: the ratio silently crosses
 // cost models.
 func exactCrossModel(topo *wan.Topology) (int64, error) {
-	sch, err := topo.Greedy()
+	sch, err := heur.ModelGreedy{Model: &model.LinkModel{Lat: topo.Lat}}.Schedule(topo.BaseSet(topo.MinLatency()))
 	if err != nil {
 		return 0, err
 	}
@@ -165,7 +164,7 @@ func exactPlainSet(set *model.MulticastSet) (int64, error) {
 
 // suppressed shows the escape hatch for a reviewed call site.
 func suppressed(topo *wan.Topology) int64 {
-	sch, err := topo.Greedy()
+	sch, err := heur.ModelGreedy{Model: &model.LinkModel{Lat: topo.Lat}}.Schedule(topo.BaseSet(topo.MinLatency()))
 	if err != nil {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -47,25 +48,37 @@ func TestLiveGreedyOnGeneratedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sch, Config{Unit: time.Millisecond})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := Validate(sch, res, 1.5); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-	// Delivery order sanity: every child is delivered after its parent's
-	// reception.
-	for v := 1; v < len(set.Nodes); v++ {
-		p := sch.Parent(model.NodeID(v))
-		if p == 0 {
-			continue
+	// Machine load only inflates wall time, so the checks that a measured
+	// time is never early hold on every attempt, while the upper slack
+	// needs one attempt that ran unloaded.
+	const attempts, slack = 3, 1.5
+	var slow error
+	for a := 1; a <= attempts; a++ {
+		res, err := Run(sch, Config{Unit: time.Millisecond})
+		if err != nil {
+			t.Fatalf("attempt %d: Run: %v", a, err)
 		}
-		if res.Delivery[v] < res.Reception[p]-0.5 {
-			t.Errorf("node %d delivered at %.2f before parent %d finished receiving at %.2f",
-				v, res.Delivery[v], p, res.Reception[p])
+		if err := Validate(sch, res, math.Inf(1)); err != nil {
+			t.Fatalf("attempt %d: Validate: %v", a, err)
 		}
+		// Delivery order sanity: every child is delivered after its
+		// parent's reception.
+		for v := 1; v < len(set.Nodes); v++ {
+			p := sch.Parent(model.NodeID(v))
+			if p == 0 {
+				continue
+			}
+			if res.Delivery[v] < res.Reception[p]-0.5 {
+				t.Fatalf("attempt %d: node %d delivered at %.2f before parent %d finished receiving at %.2f",
+					a, v, res.Delivery[v], p, res.Reception[p])
+			}
+		}
+		if slow = Validate(sch, res, slack); slow == nil {
+			return
+		}
+		t.Logf("attempt %d: %v", a, slow)
 	}
+	t.Errorf("Validate on all %d attempts: %v", attempts, slow)
 }
 
 func TestLiveRejectsIncomplete(t *testing.T) {

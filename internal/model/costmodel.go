@@ -14,9 +14,9 @@ import (
 // or both): EvalTimes scores a whole schedule with it and the Engine
 // scores it move by move with the same incremental subtree walk. The
 // per-node Times a model produces are documented on each implementation;
-// RT is always the objective to minimize. Each scenario package retains
-// its own ad-hoc evaluator as the bit-level parity oracle for the
-// recurrences here.
+// RT is always the objective to minimize. Each scenario package keeps
+// its own ad-hoc evaluator in its tests as the bit-level parity oracle
+// for the recurrences here.
 //
 // The interface has an unexported method, so every implementation lives
 // in this package and the Engine covers each one.
@@ -121,7 +121,7 @@ var evalEngines = sync.Pool{New: func() any { return new(Engine) }}
 // LinkModel scores schedules against a per-ordered-pair latency matrix
 // (the WAN direction of the paper's reference [5], Bhat, Raghavendra and
 // Prasanna): the i-th child w of v is delivered at r(v) + i*osend(v) +
-// Lat[v][w]. Reference oracle: wan.Topology.ComputeTimes.
+// Lat[v][w]. Reference oracle, in internal/wan's tests: Topology.ComputeTimes.
 type LinkModel struct {
 	// Lat[u][v] is the latency from u to v (>= 1 off the diagonal),
 	// indexed by NodeID.
@@ -214,7 +214,7 @@ func wanChildCand(nr, rc []int64, st []uint32, occ []NodeID, latRow []int64, gen
 // when segment 1 arrives at v, Reception[v] when v finishes receiving its
 // last segment; RT is the max Reception over destinations. With
 // Segments == 1 the times coincide exactly with the base model.
-// Reference oracle: pipeline.Times.
+// Reference oracle, in internal/pipeline's tests: Times.
 type PipelineModel struct {
 	// Segments is the segment count M, in [1, MaxSegments].
 	Segments int
@@ -264,8 +264,8 @@ func (m PipelineModel) recurrence(set *MulticastSet) (recurrence, error) {
 // in reverse delivery order, paying the child's sending overhead at the
 // child and its own receiving overhead per message. Delivery[v] and
 // Reception[v] both carry Ready[v], the time v has combined its subtree;
-// RT = DT = Ready[root], the reduce completion. Reference oracle:
-// collective.Reduce.
+// RT = DT = Ready[root], the reduce completion. Reference oracle, in
+// internal/collective's tests: Reduce.
 type ReduceModel struct{}
 
 // Name implements CostModel.
@@ -284,8 +284,8 @@ func (ReduceModel) recurrence(set *MulticastSet) (recurrence, error) {
 // BarrierModel is a reduce followed by a broadcast on the same tree:
 // every per-node time is the base-model time offset by the reduce
 // completion (the broadcast starts when the root has absorbed every
-// contribution), so RT = reduce.Done + broadcast RT. Reference oracle:
-// collective.BarrierRT.
+// contribution), so RT = reduce.Done + broadcast RT. Reference oracle, in
+// internal/collective's tests: BarrierRT.
 type BarrierModel struct{}
 
 // Name implements CostModel.
@@ -306,8 +306,8 @@ func (BarrierModel) recurrence(set *MulticastSet) (recurrence, error) {
 // is delivered at r(v) + i*c(v) + Lambda where c(v) is v's Send overhead
 // and reception is instantaneous (Recv is ignored). Lambda = 0 is the
 // pure node model of package nodemodel; c == 1 recovers the postal model
-// with latency Lambda. Reference oracles: nodemodel.Instance.Times and
-// postal.Tree.CompletionTime.
+// with latency Lambda. Reference oracles: nodemodel.Instance.Times and,
+// in internal/postal's tests, Tree.CompletionTime.
 type NodeModel struct {
 	// Lambda is the uniform communication latency (>= 0).
 	Lambda int64

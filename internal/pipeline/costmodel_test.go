@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/heur"
 	"repro/internal/model"
 )
 
@@ -24,7 +25,7 @@ func randTestSchedule(t *testing.T, rng *rand.Rand, set *model.MulticastSet) *mo
 }
 
 // TestPipelineModelMatchesTimes pins model.PipelineModel bit-identically
-// to the retained reference evaluator Times on random trees and segment
+// to the oracle evaluator Times (oracle_test.go) on random trees and segment
 // counts — the oracle contract the engine's M-wide forward recurrence,
 // which model.EvalTimes runs, is certified against for pipelined
 // instances.
@@ -96,4 +97,69 @@ func TestSegmentsOneMatchesBaseModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchesBeatBaseGreedyOnPipeline is the pipelined (M = 8)
+// acceptance test: each of heur's searches, handed a PipelineModel, must
+// produce a valid schedule whose pipelined completion — scored by the
+// oracle evaluator Times — is no worse than the base greedy tree's, i.e.
+// optimizing the pipelined objective must not lose to ignoring it.
+func TestSearchesBeatBaseGreedyOnPipeline(t *testing.T) {
+	const segments = 8
+	set := recvTiedPipelineSet()
+	base, err := core.Schedule(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRes, err := Times(base, segments)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cm := model.PipelineModel{Segments: segments}
+	for _, s := range []model.Scheduler{
+		heur.LocalSearch{Model: cm},
+		heur.Annealing{Model: cm},
+		heur.BeamSearch{Model: cm},
+	} {
+		sch, err := s.Schedule(set)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if err := sch.Validate(); err != nil {
+			t.Fatalf("%s: invalid schedule: %v", s.Name(), err)
+		}
+		res, err := Times(sch, segments)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if res.RT > baseRes.RT {
+			t.Fatalf("%s: pipelined RT %d worse than base greedy tree's %d", s.Name(), res.RT, baseRes.RT)
+		}
+		var tm model.Times
+		if err := model.EvalTimes(sch, &tm); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if tm.RT != res.RT {
+			t.Fatalf("%s: engine RT %d != pipeline reference RT %d", s.Name(), tm.RT, res.RT)
+		}
+	}
+}
+
+// recvTiedPipelineSet builds a heterogeneous instance where pipelining
+// matters: large messages relative to per-segment overheads, a mix of
+// fast and slow relays.
+func recvTiedPipelineSet() *model.MulticastSet {
+	nodes := make([]model.Node, 21)
+	for i := range nodes {
+		switch i % 3 {
+		case 0:
+			nodes[i] = model.Node{Send: 8, Recv: 24}
+		case 1:
+			nodes[i] = model.Node{Send: 16, Recv: 40}
+		default:
+			nodes[i] = model.Node{Send: 24, Recv: 64}
+		}
+	}
+	return &model.MulticastSet{Latency: 12, Nodes: nodes}
 }

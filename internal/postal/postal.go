@@ -140,18 +140,6 @@ func OptimalTree(lambda int64, n int) (*Tree, error) {
 	return t, nil
 }
 
-// CompletionTime returns the postal completion time of the tree (the
-// largest Finish), which for OptimalTree equals BroadcastTime.
-func (t *Tree) CompletionTime() int64 {
-	var m int64
-	for _, f := range t.Finish {
-		if f > m {
-			m = f
-		}
-	}
-	return m
-}
-
 // Scheduler adapts the postal-model optimal tree shape as a baseline for
 // heterogeneous receive-send instances: lambda is estimated from the mean
 // overheads (lambda ~ (L + mean recv) / mean send, at least 1), the tree

@@ -28,7 +28,9 @@ func testTopo(t *testing.T, seed int64) *wan.Topology {
 // surface: a "model":"wan" request must plan under the latency matrix,
 // round-trip through the plan cache under a model-prefixed key, never
 // collide with the base-model plan of the same network, and report the
-// RT the scenario's reference evaluator computes for the returned tree.
+// RT that model.EvalTimes computes for the returned tree under a
+// LinkModel built from the request's matrix (FuzzLinkModelParity in
+// package wan pins that path to the WAN oracle evaluator).
 func TestScheduleWANModelRoundTrip(t *testing.T) {
 	svc, ts := newTestServer(t, Config{})
 	topo := testTopo(t, 11)
@@ -56,18 +58,19 @@ func TestScheduleWANModelRoundTrip(t *testing.T) {
 	if first.LowerBound != 0 {
 		t.Errorf("base-model lower bound %d reported for a wan plan", first.LowerBound)
 	}
-	// The returned tree, rescored by the scenario's reference evaluator,
-	// must achieve exactly the reported RT.
+	// The returned tree, rescored under the request's matrix, must
+	// achieve exactly the reported RT.
 	sch, err := trace.UnmarshalJSON(first.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := topo.ComputeTimes(sch)
-	if err != nil {
+	sch.BindModel(&model.LinkModel{Lat: req.Lat})
+	var ref model.Times
+	if err := model.EvalTimes(sch, &ref); err != nil {
 		t.Fatal(err)
 	}
 	if ref.RT != first.RT {
-		t.Errorf("reported RT %d, wan reference evaluator says %d", first.RT, ref.RT)
+		t.Errorf("reported RT %d, link-model rescoring says %d", first.RT, ref.RT)
 	}
 
 	// Identical request: cache hit, same key, same plan.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/bounds"
@@ -90,10 +89,6 @@ type Server struct {
 	fleet        *fleetState // nil outside fleet mode
 	mux          *http.ServeMux
 	cancel       context.CancelFunc
-	// engines pools model.Engine values for plan scoring: concurrent
-	// cache misses each borrow a warmed flat-layout engine instead of
-	// allocating per-request Times slices.
-	engines sync.Pool
 }
 
 // New builds a Server. The jobs it launches stop when Close is called.
@@ -283,22 +278,16 @@ func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, r
 	if rm.cm != nil {
 		sch.BindModel(rm.cm) // structural schedulers return untagged trees
 	}
-	js, err := trace.MarshalJSON(sch)
+	var tm model.Times
+	js, err := trace.MarshalTimes(sch, &tm)
 	if err != nil {
 		return nil, key, false, err
 	}
-	eng, _ := s.engines.Get().(*model.Engine)
-	if eng == nil {
-		eng = new(model.Engine)
-	}
-	eng.Attach(sch)
-	rt, dt := eng.RT(), eng.DT()
-	s.engines.Put(eng)
 	p := &Plan{
 		Algo:         algo,
 		ScheduleJSON: js,
-		RT:           rt,
-		DT:           dt,
+		RT:           tm.RT,
+		DT:           tm.DT,
 	}
 	if rm.cm == nil {
 		p.LowerBound = lower.Best(canon)

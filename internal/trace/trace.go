@@ -106,14 +106,20 @@ type jsonTiming struct {
 // listed so that parents always precede their children and each parent's
 // edges appear in delivery order, allowing loss-free reconstruction.
 func MarshalJSON(sch *model.Schedule) ([]byte, error) {
+	return MarshalTimes(sch, new(model.Times))
+}
+
+// MarshalTimes is MarshalJSON for a caller that also needs the times: it
+// validates sch, evaluates it under its bound cost model into tm and
+// encodes it, so a caller reading RT and DT from tm scores the plan once.
+func MarshalTimes(sch *model.Schedule, tm *model.Times) ([]byte, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err
 	}
-	var tm model.Times
-	if err := model.EvalTimes(sch, &tm); err != nil {
+	if err := model.EvalTimes(sch, tm); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	return encode(sch.Set, sch, &tm), nil
+	return encode(sch.Set, sch, tm), nil
 }
 
 // encodeBufs holds appendJSON scratch buffers. encode returns an exact-size

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/heur"
 	"repro/internal/model"
 )
 
@@ -39,7 +40,7 @@ func shuffledSchedule(t *testing.T, rng *rand.Rand, set *model.MulticastSet) *mo
 }
 
 // TestLinkModelMatchesTopologyTimes pins model.LinkModel bit-identically
-// to the retained reference evaluator Topology.ComputeTimes on random
+// to the oracle evaluator Topology.ComputeTimes (oracle_test.go) on random
 // trees over clustered topologies — the oracle contract the engine's WAN
 // fast path is certified against.
 func TestLinkModelMatchesTopologyTimes(t *testing.T) {
@@ -164,21 +165,18 @@ func TestGenerateClusteredRespectsMaxSend(t *testing.T) {
 	}
 }
 
-// TestGreedyScheduleRejectsBaseScoring is the satellite-2 regression
-// test. Topology.Greedy used to return a schedule whose embedded set
-// carries the uniform MinLatency stand-in, so scoring it with the base
-// helpers (model.RT / model.ComputeTimes) silently reported WAN times
-// with every inter-island latency collapsed to the LAN floor — a number
-// that is simply wrong, and wrong in the flattering direction. The
-// schedule is now bound to its link model: the silent path panics, the
-// model-dispatching path reports the true WAN times, and the old wrong
-// number is demonstrably different.
+// TestGreedyScheduleRejectsBaseScoring is a regression test. The WAN
+// greedy's schedule embeds a set carrying the uniform MinLatency
+// stand-in, so scoring it with the base helpers (model.RT /
+// model.ComputeTimes) once silently reported WAN times with every
+// inter-island latency collapsed to the LAN floor — a number that is
+// simply wrong, and wrong in the flattering direction. The schedule is
+// bound to its link model: the silent path panics, the model-dispatching
+// path reports the true WAN times, and the old wrong number is
+// demonstrably different.
 func TestGreedyScheduleRejectsBaseScoring(t *testing.T) {
 	topo := clusteredTopo(t, 4)
-	sch, err := topo.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sch := greedy(t, topo)
 	if _, ok := sch.Model().(*model.LinkModel); !ok {
 		t.Fatalf("Greedy schedule bound to %T, want *model.LinkModel", sch.Model())
 	}
@@ -217,4 +215,57 @@ func TestGreedyScheduleRejectsBaseScoring(t *testing.T) {
 		}
 	}()
 	model.RT(sch)
+}
+
+// TestSearchesBeatScenarioGreedyOnWAN is the acceptance test for the WAN
+// scenario: heur's LocalSearch, Annealing and BeamSearch, handed a
+// LinkModel, must each produce a structurally valid schedule on a
+// clustered WAN instance that is no worse than the WAN greedy, with every
+// completion time scored by the oracle evaluator Topology.ComputeTimes
+// (not by the engine being tested).
+func TestSearchesBeatScenarioGreedyOnWAN(t *testing.T) {
+	topo, err := GenerateClustered(ClusteredConfig{
+		Clusters: 4, NodesPerCluster: 8,
+		LANLatency: 2, WANLatency: 50,
+		K: 3, MaxSend: 10, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedySch := greedy(t, topo)
+	greedyTm, err := topo.ComputeTimes(greedySch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cm := &model.LinkModel{Lat: topo.Lat}
+	set := topo.BaseSet(topo.MinLatency())
+	for _, s := range []model.Scheduler{
+		heur.LocalSearch{Model: cm},
+		heur.Annealing{Model: cm},
+		heur.BeamSearch{Model: cm},
+	} {
+		sch, err := s.Schedule(set)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if err := sch.Validate(); err != nil {
+			t.Fatalf("%s: invalid schedule: %v", s.Name(), err)
+		}
+		ref, err := topo.ComputeTimes(sch)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if ref.RT > greedyTm.RT {
+			t.Fatalf("%s: WAN RT %d worse than scenario greedy %d", s.Name(), ref.RT, greedyTm.RT)
+		}
+		// The engine's own score must agree with the reference evaluator.
+		var tm model.Times
+		if err := model.EvalTimes(sch, &tm); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if tm.RT != ref.RT {
+			t.Fatalf("%s: engine RT %d != wan reference RT %d", s.Name(), tm.RT, ref.RT)
+		}
+	}
 }

@@ -4,11 +4,12 @@
 // they share a LAN or talk over a long-haul link, so the single global L
 // of the receive-send model under-specifies the system.
 //
-// The package reuses the ordered-tree schedules of package model but
-// evaluates them against a latency matrix, provides a WAN-aware greedy
-// (the paper's greedy with per-destination latency terms), and generates
-// clustered topologies for the E15 experiment that quantifies the cost of
-// pretending a WAN is a LAN.
+// The package holds the latency-matrix instance and generates clustered
+// topologies for the E15 experiment that quantifies the cost of
+// pretending a WAN is a LAN. Schedules over a topology are ordinary
+// model schedules: model.LinkModel scores them against the matrix, and
+// heur.ModelGreedy under that model is the WAN-aware greedy (the paper's
+// greedy with per-destination latency terms).
 package wan
 
 import (
@@ -53,25 +54,6 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// N returns the destination count.
-func (t *Topology) N() int { return len(t.Nodes) - 1 }
-
-// Uniform builds a topology with a single latency everywhere, equivalent
-// to the base model instance.
-func Uniform(set *model.MulticastSet) *Topology {
-	n := len(set.Nodes)
-	lat := make([][]int64, n)
-	for u := range lat {
-		lat[u] = make([]int64, n)
-		for v := range lat[u] {
-			if u != v {
-				lat[u][v] = set.Latency
-			}
-		}
-	}
-	return &Topology{Nodes: append([]model.Node(nil), set.Nodes...), Lat: lat}
-}
-
 // BaseSet returns the topology's nodes as a base-model instance using the
 // given uniform latency (for running latency-oblivious schedulers).
 func (t *Topology) BaseSet(latency int64) *model.MulticastSet {
@@ -95,82 +77,6 @@ func (t *Topology) MinLatency() int64 {
 		min = 1
 	}
 	return min
-}
-
-// ComputeTimes evaluates a schedule tree against the latency matrix:
-// the i-th child w of v is delivered at r(v) + i*osend(v) + Lat[v][w].
-func (t *Topology) ComputeTimes(sch *model.Schedule) (model.Times, error) {
-	if len(sch.Set.Nodes) != len(t.Nodes) {
-		return model.Times{}, fmt.Errorf("wan: schedule over %d nodes, topology has %d", len(sch.Set.Nodes), len(t.Nodes))
-	}
-	n := len(t.Nodes)
-	tm := model.Times{Delivery: make([]int64, n), Reception: make([]int64, n)}
-	stack := []model.NodeID{0}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		rv := tm.Reception[v]
-		sv := t.Nodes[v].Send
-		for i, w := range sch.Children(v) {
-			d := rv + int64(i+1)*sv + t.Lat[v][w]
-			tm.Delivery[w] = d
-			tm.Reception[w] = d + t.Nodes[w].Recv
-			if d > tm.DT {
-				tm.DT = d
-			}
-			if tm.Reception[w] > tm.RT {
-				tm.RT = tm.Reception[w]
-			}
-			stack = append(stack, w)
-		}
-	}
-	return tm, nil
-}
-
-// Greedy is the WAN-aware adaptation of the paper's greedy: destinations
-// are inserted in non-decreasing overhead order; each is delivered at the
-// earliest completion over all attached senders, where a sender's
-// completion now includes the pair latency. Because the key depends on
-// the (sender, destination) pair, the priority queue degenerates to a
-// scan: O(n^2) total, documented and acceptable at WAN scales.
-func (t *Topology) Greedy() (*model.Schedule, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	// The embedded set's scalar latency is unused by topology evaluation;
-	// carry the minimum so base-model invariants (positive L) hold.
-	set := t.BaseSet(t.MinLatency())
-	sch := model.NewSchedule(set)
-	n := len(t.Nodes)
-	attached := make([]bool, n)
-	attached[0] = true
-	reception := make([]int64, n)
-	sends := make([]int64, n)
-	for _, pi := range set.SortedDestinations() {
-		best, bestKey := -1, int64(0)
-		for v := 0; v < n; v++ {
-			if !attached[v] {
-				continue
-			}
-			key := reception[v] + (sends[v]+1)*t.Nodes[v].Send + t.Lat[v][pi]
-			if best == -1 || key < bestKey {
-				best, bestKey = v, key
-			}
-		}
-		if err := sch.AddChild(model.NodeID(best), pi); err != nil {
-			return nil, err
-		}
-		sends[best]++
-		attached[pi] = true
-		reception[pi] = bestKey + t.Nodes[pi].Recv
-	}
-	// Bind the schedule to its cost model: the embedded set's scalar
-	// latency is a placeholder, so scoring this plan with base-model
-	// ComputeTimes would silently report wrong WAN times. The binding makes
-	// that path panic instead; evaluate with t.ComputeTimes or
-	// model.EvalTimes.
-	sch.BindModel(&model.LinkModel{Lat: t.Lat})
-	return sch, nil
 }
 
 // ClusteredConfig parameterizes the two-level WAN generator.

@@ -6,8 +6,22 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/heur"
 	"repro/internal/model"
 )
+
+// greedy builds the WAN-aware greedy tree for topo: heur.ModelGreedy
+// under the topology's link model, on its base set with the minimum
+// latency standing in for the unused scalar L. The schedule comes back
+// bound to the link model.
+func greedy(t *testing.T, topo *Topology) *model.Schedule {
+	t.Helper()
+	sch, err := heur.ModelGreedy{Model: &model.LinkModel{Lat: topo.Lat}}.Schedule(topo.BaseSet(topo.MinLatency()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch
+}
 
 func TestUniformMatchesBaseModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -50,10 +64,7 @@ func TestGreedyUniformMatchesBaseGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		topo := Uniform(set)
-		wsch, err := topo.Greedy()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wsch := greedy(t, topo)
 		wt, err := topo.ComputeTimes(wsch)
 		if err != nil {
 			t.Fatal(err)
@@ -81,10 +92,7 @@ func TestHandComputedTwoIsland(t *testing.T) {
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sch, err := topo.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sch := greedy(t, topo)
 	tm, err := topo.ComputeTimes(sch)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +108,8 @@ func TestGenerateClusteredShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.N() != 14 {
-		t.Errorf("N = %d, want 14", topo.N())
+	if n := len(topo.Nodes) - 1; n != 14 {
+		t.Errorf("N = %d, want 14", n)
 	}
 	// Latency values are exactly LAN or WAN off-diagonal.
 	lan, wan := 0, 0
@@ -150,10 +158,7 @@ func TestWANAwareBeatsObliviousOnClusteredTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wsch, err := topo.Greedy()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wsch := greedy(t, topo)
 		wt, err := topo.ComputeTimes(wsch)
 		if err != nil {
 			t.Fatal(err)
