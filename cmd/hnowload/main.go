@@ -1,8 +1,9 @@
 // Command hnowload is an open-loop load generator for hnowd fleets. It
 // drives /v1/table against 1..n-replica deployments with a zipf-popular
 // key population and a warm/cold mix, and emits BENCH_service.json with
-// per-run latency percentiles, cache-hit rate and — the number the fleet
-// design exists to minimize — duplicate DP build counts.
+// per-run error counts, cache-hit rate, the fleet counters and — the
+// number the fleet design exists to minimize — duplicate DP build
+// counts. Latency is measured by the benchmark/ harness, not here.
 //
 // In-process mode spins fleets up itself (real HTTP over loopback, one
 // spill dir per replica) and compares sizes in one run:
@@ -30,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,13 +65,10 @@ type benchConfig struct {
 }
 
 type runResult struct {
-	Name     string  `json:"name"`
-	Replicas int     `json:"replicas"`
-	Requests int     `json:"requests"`
-	Errors   int     `json:"errors"`
-	P50Ms    float64 `json:"p50_ms"`
-	P90Ms    float64 `json:"p90_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+	Name     string `json:"name"`
+	Replicas int    `json:"replicas"`
+	Requests int    `json:"requests"`
+	Errors   int    `json:"errors"`
 	// HitRate is the fraction of successful requests answered without a
 	// DP build on the serving replica (memory, disk or peer fetch).
 	HitRate float64 `json:"hit_rate"`
@@ -154,8 +151,8 @@ func main() {
 		log.Fatalf("hnowload: writing %s: %v", *out, err)
 	}
 	for _, r := range runs {
-		log.Printf("hnowload: %s: %d req, %d err, p50=%.1fms p99=%.1fms, hit=%.0f%%, builds=%d dup=%d, fleet=%+v",
-			r.Name, r.Requests, r.Errors, r.P50Ms, r.P99Ms, 100*r.HitRate, r.Builds, r.DupBuilds, r.Fleet)
+		log.Printf("hnowload: %s: %d req, %d err, hit=%.0f%%, builds=%d dup=%d, fleet=%+v",
+			r.Name, r.Requests, r.Errors, 100*r.HitRate, r.Builds, r.DupBuilds, r.Fleet)
 	}
 	log.Printf("hnowload: wrote %s (%d runs)", *out, len(runs))
 
@@ -242,7 +239,6 @@ func pickTarget(route string, ring *fleet.Ring, clients map[string]*client.Clien
 
 // sample is one request's outcome.
 type sample struct {
-	ms    float64
 	key   int
 	cache string
 	err   error
@@ -288,9 +284,8 @@ func driveLoad(urls []string, cfg benchConfig, pop *population) []sample {
 		wg.Add(1)
 		go func(i, idx int, c *client.Client) {
 			defer wg.Done()
-			t0 := time.Now()
 			resp, err := c.WarmTable(ctx, pop.sets[idx], 0)
-			s := sample{ms: float64(time.Since(t0)) / float64(time.Millisecond), key: idx, err: err}
+			s := sample{key: idx, err: err}
 			if err == nil {
 				s.cache = resp.Cache
 			}
@@ -308,7 +303,6 @@ func summarize(name string, replicas int, samples []sample, warmTouched int, bui
 	for i := 0; i < warmTouched; i++ {
 		touched[i] = true
 	}
-	var lat []float64
 	served := 0
 	for _, s := range samples {
 		if s.err != nil {
@@ -316,7 +310,6 @@ func summarize(name string, replicas int, samples []sample, warmTouched int, bui
 			continue
 		}
 		touched[s.key] = true
-		lat = append(lat, s.ms)
 		served++
 		if s.cache != service.TableCacheMiss {
 			res.HitRate++ // numerator; divided below
@@ -325,23 +318,8 @@ func summarize(name string, replicas int, samples []sample, warmTouched int, bui
 	if served > 0 {
 		res.HitRate /= float64(served)
 	}
-	sort.Float64s(lat)
-	res.P50Ms = percentile(lat, 0.50)
-	res.P90Ms = percentile(lat, 0.90)
-	res.P99Ms = percentile(lat, 0.99)
 	res.DupBuilds = builds - int64(len(touched))
 	return res
-}
-
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // driveInProcess spawns a size-replica fleet over loopback listeners,
@@ -479,8 +457,6 @@ func validateFile(path string) error {
 			return fmt.Errorf("%s: requests = %d", r.Name, r.Requests)
 		case r.Errors < 0 || r.Errors > r.Requests:
 			return fmt.Errorf("%s: errors = %d of %d", r.Name, r.Errors, r.Requests)
-		case r.P50Ms < 0 || r.P50Ms > r.P90Ms || r.P90Ms > r.P99Ms:
-			return fmt.Errorf("%s: non-monotone percentiles p50=%g p90=%g p99=%g", r.Name, r.P50Ms, r.P90Ms, r.P99Ms)
 		case r.HitRate < 0 || r.HitRate > 1:
 			return fmt.Errorf("%s: hit_rate = %g", r.Name, r.HitRate)
 		case r.Builds < 0:

@@ -15,8 +15,8 @@ package service
 //     (peers are untrusted by construction: a corrupt or truncated body
 //     is rejected with exact.ErrBadTable and counted in peer_errors),
 //     and inserts the table into its own byte-budgeted LRU and spill dir
-//     — single-flighted per key on the same tableFlight map the local
-//     load/build paths use.
+//     — single-flighted per key by tableCache.resolve, the one path the
+//     local load and build go through too.
 //   - /v1/compare with "optimal" on a non-owner consults the ring before
 //     any local cold DP solve: it tries a pure peer fetch
 //     (GET /v1/fleet/table/{key}) and, when the owner has no table
@@ -286,9 +286,9 @@ func (f *fleetState) fetchTableBytes(ctx context.Context, owner, key string) (da
 }
 
 // buildFetchBytes POSTs a build-and-stream request to the owner: the
-// owner materializes the table through its normal getOrBuild path (cache,
-// spill, or a fresh fill — single-flighted owner-side) and streams the
-// raw .hnowtbl bytes back. A 422 from the owner surfaces as
+// owner resolves the table through the same single-flight path as its
+// own /v1/table (memory, spill, or a fresh fill) and streams the raw
+// .hnowtbl bytes back. A 422 from the owner surfaces as
 // *peerRejectedError.
 func (f *fleetState) buildFetchBytes(ctx context.Context, owner, key string, body []byte) (data []byte, err error) {
 	err = f.doPeer(owner, func() error {
@@ -440,62 +440,44 @@ func (s *Server) handleFleetRing(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFleetTableGet serves GET /v1/fleet/table/{key}: the raw .hnowtbl
-// bytes of the keyed table from this replica's memory or spill, 404 when
-// it has none. It never builds — the pure fetch path peers use before
-// deciding to forward.
+// bytes of the keyed table from this replica's memory or spill (a
+// spill-only resolve), 404 when it has none. It never builds — the pure
+// fetch path peers use before deciding to forward.
 func (s *Server) handleFleetTableGet(w http.ResponseWriter, r *http.Request) {
 	if !s.fleetEnabled() {
 		writeError(w, http.StatusNotFound, errors.New("fleet mode disabled"))
 		return
 	}
 	key := r.PathValue("key")
-	t, ok := s.tables.loadKeyed(key)
-	if !ok {
+	t, _, err := s.tables.resolve(key, nil)
+	if err != nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no table for key %q", key))
 		return
 	}
 	defer t.Release()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := t.WriteTo(w); err != nil {
-		// Too late for a status change; the client's checksum validation
-		// will reject the truncated body.
-		return
-	}
+	// A failed write is too late for a status change; the client's
+	// checksum validation rejects the truncated body.
+	t.WriteTo(w)
 }
 
-// handleFleetTablePost serves POST /v1/fleet/table/{key}: materialize the
-// table for the embedded set through the normal getOrBuild path (cache,
-// spill, or a single-flighted fresh fill) and stream its raw bytes. This
-// is the one-round-trip cache-fill peers use for /v1/table.
+// handleFleetTablePost serves POST /v1/fleet/table/{key}: resolve the
+// table for the embedded set (a /v1/table body) through getOrBuild —
+// memory, spill, or a single-flighted fresh fill — and stream its raw
+// bytes. This is the one-round-trip cache-fill peers use for /v1/table.
 func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 	if !s.fleetEnabled() {
 		writeError(w, http.StatusNotFound, errors.New("fleet mode disabled"))
 		return
 	}
-	key := r.PathValue("key")
-	var req TableRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	_, inst, got, workers, ok := s.decodeTableRequest(w, r)
+	if !ok {
 		return
 	}
-	set, err := decodeSet(req.Set)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	inst, err := exact.Analyze(Canonicalize(set))
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if got := networkKey(inst.Set.Latency, inst.Types, inst.Counts); got != key {
+	if key := r.PathValue("key"); got != key {
 		writeError(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("set resolves to key %q, path names %q", got, key))
 		return
-	}
-	workers := req.Parallelism
-	if workers <= 0 {
-		workers = s.tableWorkers
 	}
 	t, _, _, _, err := s.tables.getOrBuild(inst, workers)
 	if err != nil {
@@ -535,14 +517,15 @@ func (s *Server) serveFleetTable(w http.ResponseWriter, r *http.Request, owner, 
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	fetch := func() (*exact.Table, error) {
+	fetch := func() (*exact.Table, string, error) {
 		data, err := s.fleet.buildFetchBytes(r.Context(), owner, key, body)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return s.validatePeerTable(owner, key, data)
+		t, err := s.validatePeerTable(owner, key, data)
+		return t, TableCachePeer, err
 	}
-	t, source, err := s.tables.ingestKeyed(key, fetch)
+	t, source, err := s.tables.resolve(key, fetch)
 	if err != nil {
 		var rej *peerRejectedError
 		if errors.As(err, &rej) {
@@ -589,17 +572,18 @@ const (
 // spill, index), look up. Used by /v1/compare's optimal path so
 // non-owners never duplicate a cold solve the owner could serve.
 func (s *Server) fleetOptimal(ctx context.Context, owner, key string, canon *model.MulticastSet) (int64, fleetOutcome) {
-	fetch := func() (*exact.Table, error) {
+	fetch := func() (*exact.Table, string, error) {
 		data, found, err := s.fleet.fetchTableBytes(ctx, owner, key)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if !found {
-			return nil, errPeerMiss
+			return nil, "", errPeerMiss
 		}
-		return s.validatePeerTable(owner, key, data)
+		t, err := s.validatePeerTable(owner, key, data)
+		return t, TableCachePeer, err
 	}
-	t, source, err := s.tables.ingestKeyed(key, fetch)
+	t, source, err := s.tables.resolve(key, fetch)
 	if err != nil {
 		if errors.Is(err, errPeerMiss) {
 			return 0, fleetMiss

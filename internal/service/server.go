@@ -247,18 +247,14 @@ func decodeSet(raw json.RawMessage) (*model.MulticastSet, error) {
 	return trace.UnmarshalSetJSON(raw)
 }
 
-// planCanonical is plan for a set already in canonical form; handlers
-// that resolve several algorithms on one instance canonicalize once.
-func (s *Server) planCanonical(canon *model.MulticastSet, algo string, seed int64) (*Plan, string, bool, error) {
-	return s.planModel(canon, algo, seed, resolvedModel{})
-}
-
-// planModel is planCanonical under a cost model: the algorithm resolves
-// to its model-aware variant, the schedule is bound to the model before
-// encoding and scoring, and the model joins the cache key so a WAN plan
-// can never be served for a base request of the same network (or vice
-// versa). The paper's lower bounds argue about the base objective only,
-// so non-base plans report a trivial zero bound.
+// planModel plans a set already in canonical form under a cost model
+// (the zero resolvedModel is the base model), so handlers that resolve
+// several algorithms on one instance canonicalize once. The algorithm
+// resolves to its model-aware variant, the schedule is bound to the
+// model before encoding and scoring, and the model joins the cache key
+// so a WAN plan can never be served for a base request of the same
+// network (or vice versa). The paper's lower bounds argue about the base
+// objective only, so non-base plans report a trivial zero bound.
 func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, rm resolvedModel) (*Plan, string, bool, error) {
 	if !registry.Seeded(algo) {
 		seed = 0 // deterministic algorithms share one cache entry across seeds

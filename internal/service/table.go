@@ -137,12 +137,12 @@ const optResultCap = 4096
 
 // tableCache holds materialized DP tables under a byte budget (tables
 // are orders of magnitude bigger than plans, so the budget usually
-// admits a handful of whole networks). Per-key in-flight tracking makes
-// concurrent warms of the same network load or build once — including
-// propagating a failure to everyone who was waiting on it — while
-// distinct networks proceed in parallel. Tables are borrowed with
-// Retain/Release so evicting a mapped table never unmaps memory a
-// concurrent lookup is still reading.
+// admits a handful of whole networks). Per-key in-flight tracking in
+// resolve makes concurrent warms of the same network load, fetch or
+// build once — including propagating a failure to everyone who was
+// waiting on it — while distinct networks proceed in parallel. Tables
+// are borrowed with Retain/Release so evicting a mapped table never
+// unmaps memory a concurrent lookup is still reading.
 type tableCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -175,15 +175,14 @@ type tableEntry struct {
 	bytes int64
 }
 
-// tableFlight is one in-flight load or build: waiters block on done and
-// then read the outcome instead of redoing the work. table == nil with a
-// nil err means a disk load found nothing usable (a getOrBuild waiter
-// may still build); err records a build failure, propagated to the
-// cohort that was waiting on it.
+// tableFlight is one in-flight resolve of a key: waiters block on done
+// and then read err instead of redoing the work. A nil err means the
+// table was promoted into the cache; errNoTable means a spill-only
+// resolve found nothing (a waiter with a miss of its own still tries);
+// any other err is the miss's failure, shared with the waiting cohort.
 type tableFlight struct {
-	done  chan struct{}
-	table *exact.Table
-	err   error
+	done chan struct{}
+	err  error
 }
 
 type optFlight struct {
@@ -370,7 +369,7 @@ func (c *tableCache) evictLocked() {
 	}
 }
 
-// put inserts a table built outside the single-flight paths (tests).
+// put inserts a table built outside resolve (tests).
 func (c *tableCache) put(key string, t *exact.Table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -402,63 +401,24 @@ func (c *tableCache) lookupSet(set *model.MulticastSet) (int64, bool) {
 	return rt, ok
 }
 
-// loadKeyed is the single-flighted disk load: concurrent callers of the
-// same key (or a build of it, via the shared in-flight map) do the read,
-// checksum and choice validation once. Everyone who was waiting shares
-// the outcome — on success the promoted in-memory entry, on failure the
-// negative result, so a broken or missing file costs the cohort one read
-// attempt, not one per waiter. The returned table is borrowed: Release
-// when done.
+// errNoTable reports that a memory-and-spill-only resolve found no
+// table for the key.
+var errNoTable = errors.New("no table for key")
+
+// resolve is the one single-flight path to a table: memory, then the
+// spill, then miss — at most once per key. Concurrent callers of one
+// key wait for the in-flight flight and share its outcome, while
+// distinct keys proceed in parallel. A failed miss is shared with the
+// whole waiting cohort but not cached, so the next caller runs miss
+// again. A nil miss means memory and spill only: a miss then fails with
+// errNoTable, which spill-only waiters share and waiters with a miss of
+// their own retry past. Spilled tables are promoted without being
+// rewritten; a table from miss is spilled once its flight has closed.
+// On success the source is TableCacheHit, TableCacheDisk or the one
+// miss reported, and the table is borrowed: the caller must Release it.
 //
 //hnow:borrows
-func (c *tableCache) loadKeyed(key string) (*exact.Table, bool) {
-	for {
-		c.mu.Lock()
-		if t, ok := c.retainLocked(key); ok {
-			c.mu.Unlock()
-			expTableHits.Add(1)
-			return t, true
-		}
-		if fl, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			<-fl.done
-			if fl.table == nil {
-				return nil, false // share the cohort's negative result
-			}
-			continue // promoted to the cache; borrow it under the lock
-		}
-		fl := &tableFlight{done: make(chan struct{})}
-		c.inflight[key] = fl
-		c.mu.Unlock()
-
-		t, ok := c.loadFromDisk(key)
-		c.mu.Lock()
-		if ok {
-			c.putLocked(key, t)
-			t.Retain()
-			fl.table = t
-		}
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(fl.done)
-		return t, ok
-	}
-}
-
-// ingestKeyed resolves key through memory, then disk, then the given
-// fetch function — the fleet cache-fill path. It reuses the same
-// tableFlight single-flight map as the local load/build paths, so a
-// stampede of non-owner requests for one key performs one peer fetch
-// (and one validation pass) fleet-node-wide, with the outcome — success
-// or failure — shared by the whole waiting cohort. A successfully
-// fetched table is inserted into the byte-budgeted LRU and persisted to
-// the spill dir (which also updates the in-memory spill index and the
-// index_size expvar immediately, exactly like a local build). The
-// returned table is borrowed; Release when done. source is one of
-// TableCacheHit, TableCacheDisk or TableCachePeer.
-//
-//hnow:borrows
-func (c *tableCache) ingestKeyed(key string, fetch func() (*exact.Table, error)) (*exact.Table, string, error) {
+func (c *tableCache) resolve(key string, miss func() (*exact.Table, string, error)) (*exact.Table, string, error) {
 	for {
 		c.mu.Lock()
 		if t, ok := c.retainLocked(key); ok {
@@ -469,46 +429,40 @@ func (c *tableCache) ingestKeyed(key string, fetch func() (*exact.Table, error))
 		if fl, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
 			<-fl.done
-			if fl.err != nil {
+			if fl.err != nil && (miss == nil || fl.err != errNoTable) {
 				return nil, "", fl.err // share the cohort's failure
 			}
-			// Either promoted to the cache (grab it on the next pass) or a
-			// negative disk probe from loadKeyed (then we fetch ourselves).
-			continue
+			continue // promoted to the cache, or a spill-only miss to retry past
 		}
+		// The cache re-check and flight registration share one critical
+		// section, so a load or build finishing between them cannot be redone.
 		fl := &tableFlight{done: make(chan struct{})}
 		c.inflight[key] = fl
 		c.mu.Unlock()
 
-		if t, ok := c.loadFromDisk(key); ok {
-			c.mu.Lock()
-			c.putLocked(key, t)
-			t.Retain()
-			fl.table = t
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			return t, TableCacheDisk, nil
-		}
-
-		t, err := fetch()
-		if err != nil {
-			c.mu.Lock()
-			fl.err = err
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			return nil, "", err
+		var err error
+		source := TableCacheDisk
+		t, ok := c.loadFromDisk(key)
+		switch {
+		case ok:
+		case miss == nil:
+			err = errNoTable
+		default:
+			t, source, err = miss()
 		}
 		c.mu.Lock()
-		c.putLocked(key, t)
-		t.Retain()
-		fl.table = t
+		if err == nil {
+			c.putLocked(key, t)
+			t.Retain()
+		}
+		fl.err = err
 		delete(c.inflight, key)
 		c.mu.Unlock()
 		close(fl.done)
-		c.saveToDisk(key, t)
-		return t, TableCachePeer, nil
+		if err == nil && source != TableCacheDisk {
+			c.saveToDisk(key, t)
+		}
+		return t, source, err
 	}
 }
 
@@ -532,7 +486,7 @@ func (c *tableCache) lookupSetAny(set *model.MulticastSet) (int64, bool) {
 		return 0, false
 	}
 	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
-	if t, ok := c.loadKeyed(key); ok {
+	if t, _, err := c.resolve(key, nil); err == nil {
 		rt, err := t.Lookup(inst.SourceType, inst.Counts)
 		t.Release()
 		if err == nil {
@@ -543,8 +497,8 @@ func (c *tableCache) lookupSetAny(set *model.MulticastSet) (int64, bool) {
 	// No exact-inventory file; consult the index (in-memory Covers
 	// checks — the disk is only touched to load a match).
 	for _, coverKey := range c.index.coveringKeys(set) {
-		t, ok := c.loadKeyed(coverKey)
-		if !ok {
+		t, _, err := c.resolve(coverKey, nil)
+		if err != nil {
 			continue
 		}
 		rt, ok := t.LookupSet(set)
@@ -556,74 +510,38 @@ func (c *tableCache) lookupSetAny(set *model.MulticastSet) (int64, bool) {
 	return 0, false
 }
 
-// getOrBuild returns the table for the analyzed instance, checking the
-// in-memory cache, then the disk spill, then building (with the given
-// fill parallelism) — at most once per key: concurrent warms of the same
-// network wait for the in-flight load/build and share its outcome (a
-// build failure is returned to every waiter rather than retried by each),
-// while distinct networks proceed in parallel. The returned source is one
-// of TableCacheHit, TableCacheDisk or TableCacheMiss; the table is
-// borrowed and must be Released by the caller.
+// getOrBuild resolves the table for the analyzed instance, building it
+// (with the given fill parallelism) when neither memory nor the spill
+// has it. Builds share the build semaphore with optimalRT's solves; the
+// reported build time runs from holding the semaphore until the table
+// is cached and spilled. The returned source is one of TableCacheHit,
+// TableCacheDisk or TableCacheMiss; the table is borrowed and must be
+// Released by the caller.
 //
 //hnow:borrows
 func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table, string, string, time.Duration, error) {
 	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
-	for {
-		c.mu.Lock()
-		if t, ok := c.retainLocked(key); ok {
-			c.mu.Unlock()
-			expTableHits.Add(1)
-			return t, key, TableCacheHit, 0, nil
-		}
-		if fl, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				return nil, key, TableCacheMiss, 0, fl.err
-			}
-			continue // loaded or built by someone else; take it from the cache
-		}
-		// The cache re-check and flight registration share one critical
-		// section, so a load/build finishing between them cannot be redone.
-		fl := &tableFlight{done: make(chan struct{})}
-		c.inflight[key] = fl
-		c.mu.Unlock()
-
-		if t, ok := c.loadFromDisk(key); ok {
-			c.mu.Lock()
-			c.putLocked(key, t)
-			t.Retain()
-			fl.table = t
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			return t, key, TableCacheDisk, 0, nil
-		}
-
+	var start time.Time
+	t, source, err := c.resolve(key, func() (*exact.Table, string, error) {
 		c.buildSem <- struct{}{} // bound concurrent distinct-network builds
-		start := time.Now()
+		start = time.Now()
 		t, err := exact.BuildTableParallel(inst.Set, workers)
 		<-c.buildSem
 		if err != nil {
-			c.mu.Lock()
-			fl.err = err
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			return nil, key, TableCacheMiss, 0, err
+			return nil, "", err
 		}
 		expTableBuilds.Add(1)
 		c.builds.Add(1)
-		c.mu.Lock()
-		c.putLocked(key, t)
-		t.Retain()
-		fl.table = t
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(fl.done)
-		c.saveToDisk(key, t)
-		return t, key, TableCacheMiss, time.Since(start), nil
+		return t, TableCacheMiss, nil
+	})
+	if err != nil {
+		return nil, key, TableCacheMiss, 0, err
 	}
+	var buildTime time.Duration
+	if source == TableCacheMiss {
+		buildTime = time.Since(start)
+	}
+	return t, key, source, buildTime, nil
 }
 
 // optimalRT is /v1/compare's exact-optimum fallback when no table covers
@@ -699,28 +617,37 @@ func (s *Server) writeTableResponse(w http.ResponseWriter, table *exact.Table, i
 	})
 }
 
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	var req TableRequest
+// decodeTableRequest reads a /v1/table body (also the body of a fleet
+// build-and-stream POST): the request, its analyzed canonical instance,
+// the instance's network key and the fill parallelism, defaulted to the
+// server's. On failure it has written the 400 or 422 and ok is false.
+func (s *Server) decodeTableRequest(w http.ResponseWriter, r *http.Request) (req TableRequest, inst *exact.Instance, key string, workers int, ok bool) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+		return req, nil, "", 0, false
 	}
 	set, err := decodeSet(req.Set)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return req, nil, "", 0, false
 	}
-	canon := Canonicalize(set)
-	inst, err := exact.Analyze(canon)
+	inst, err = exact.Analyze(Canonicalize(set))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return req, nil, "", 0, false
 	}
-	workers := req.Parallelism
+	workers = req.Parallelism
 	if workers <= 0 {
 		workers = s.tableWorkers
 	}
-	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
+	return req, inst, networkKey(inst.Set.Latency, inst.Types, inst.Counts), workers, true
+}
+
+func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
+	req, inst, key, workers, ok := s.decodeTableRequest(w, r)
+	if !ok {
+		return
+	}
 	fleetRole := ""
 	if s.fleetEnabled() && !fleetForwarded(r) {
 		// The ring is consulted only after the local cache: a replica

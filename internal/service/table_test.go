@@ -2,10 +2,13 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -486,27 +489,128 @@ func TestCompareOptimalColdSingleFlight(t *testing.T) {
 	}
 }
 
-// TestLoadFailureSharedWithCohort pins the loadKeyed dogpile fix: every
-// waiter woken by a failed disk load must take the negative result from
-// the shared flight instead of repeating the read + checksum pass.
+// TestLoadFailureSharedWithCohort pins what a cohort of concurrent
+// resolves of one key shares. Every case parks its whole cohort inside
+// resolve before the flight ends, so each outcome is the shared one.
 func TestLoadFailureSharedWithCohort(t *testing.T) {
-	dir := t.TempDir()
-	set := Canonicalize(tableTestSet(t))
-	inst, err := exact.Analyze(set)
+	inst, err := exact.Analyze(Canonicalize(tableTestSet(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
-	// A spilled table whose payload is corrupt: the header scan indexes
-	// it, the full load rejects it.
-	func() {
-		c := newTableCache(0, dir)
-		tab, _, _, _, err := c.getOrBuild(inst, 1)
-		if err != nil {
-			t.Fatal(err)
+	errBoom := errors.New("boom")
+	spillOnly := func(c *tableCache) func() error {
+		return func() error {
+			_, _, err := c.resolve(key, nil)
+			return err
 		}
-		tab.Release()
-	}()
+	}
+	cases := []struct {
+		name string
+		// spill seeds the cache's dir with a spilled table for key whose
+		// payload is corrupt: the header scan indexes it, a full load
+		// rejects it and counts a disk load.
+		spill bool
+		run   func(t *testing.T, c *tableCache)
+	}{
+		{"failed miss runs once, is shared and is not cached", false, func(t *testing.T, c *tableCache) {
+			var calls atomic.Int64
+			release := make(chan struct{})
+			miss := func() (*exact.Table, string, error) {
+				calls.Add(1)
+				<-release
+				return nil, "", errBoom
+			}
+			fns := make([]func() error, 6)
+			for i := range fns {
+				fns[i] = func() error {
+					_, _, err := c.resolve(key, miss)
+					return err
+				}
+			}
+			errs := cohort(t, fns...)
+			close(release)
+			for _, err := range errs() {
+				if !errors.Is(err, errBoom) {
+					t.Errorf("waiter got %v, want the miss's error", err)
+				}
+			}
+			if got := calls.Load(); got != 1 {
+				t.Errorf("miss ran %d times for the cohort, want 1", got)
+			}
+			if tab, ok := c.get(key); ok {
+				tab.Release()
+				t.Error("a failed miss left a table in the cache")
+			}
+			if _, _, err := c.resolve(key, miss); !errors.Is(err, errBoom) || calls.Load() != 2 {
+				t.Errorf("next resolve: err %v after %d miss calls, want the miss run again", err, calls.Load())
+			}
+		}},
+		{"negative spill probe is shared with spill-only waiters", true, func(t *testing.T, c *tableCache) {
+			fns := make([]func() error, 6)
+			for i := range fns {
+				fns[i] = spillOnly(c)
+			}
+			negative := handFlight(c, key)
+			errs := cohort(t, fns...)
+			loadsBefore := expTableDiskLoads.Value()
+			negative()
+			for _, err := range errs() {
+				if !errors.Is(err, errNoTable) {
+					t.Errorf("spill-only waiter got %v, want errNoTable", err)
+				}
+			}
+			if got := expTableDiskLoads.Value() - loadsBefore; got != 0 {
+				t.Errorf("cohort waiters did %d disk loads after the shared probe, want 0", got)
+			}
+		}},
+		{"waiter with a miss retries a negative spill probe", false, func(t *testing.T, c *tableCache) {
+			var source string
+			build := func() error {
+				tab, _, src, _, err := c.getOrBuild(inst, 1)
+				if err == nil {
+					tab.Release()
+				}
+				source = src
+				return err
+			}
+			negative := handFlight(c, key)
+			errs := cohort(t, build, spillOnly(c))
+			before := c.builds.Load()
+			negative()
+			got := errs()
+			if got[0] != nil || source != TableCacheMiss {
+				t.Errorf("producing waiter: source %q, err %v; want a build", source, got[0])
+			}
+			if !errors.Is(got[1], errNoTable) {
+				t.Errorf("spill-only waiter got %v, want errNoTable", got[1])
+			}
+			if n := c.builds.Load() - before; n != 1 {
+				t.Errorf("producing waiter built %d tables, want 1", n)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := ""
+			if tc.spill {
+				dir = t.TempDir()
+				corruptSpill(t, dir, inst)
+			}
+			tc.run(t, newTableCache(0, dir))
+		})
+	}
+}
+
+// corruptSpill spills the table for inst into dir, then flips the last
+// payload byte of the file.
+func corruptSpill(t *testing.T, dir string, inst *exact.Instance) {
+	t.Helper()
+	tab, _, _, _, err := newTableCache(0, dir).getOrBuild(inst, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Release()
 	matches, err := filepath.Glob(filepath.Join(dir, "*", "*.hnowtbl"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("spill: %v %v", matches, err)
@@ -519,48 +623,57 @@ func TestLoadFailureSharedWithCohort(t *testing.T) {
 	if err := os.WriteFile(matches[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	c := newTableCache(0, dir)
-	// Park waiters on a hand-registered flight, then resolve it as a
-	// failure: everyone must return false without touching the disk.
+// handFlight registers a flight for key as if a spill-only resolve were
+// probing the spill, and returns the function that ends it negative.
+func handFlight(c *tableCache, key string) (negative func()) {
 	fl := &tableFlight{done: make(chan struct{})}
 	c.mu.Lock()
 	c.inflight[key] = fl
 	c.mu.Unlock()
-	const waiters = 6
+	return func() {
+		c.mu.Lock()
+		fl.err = errNoTable
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(fl.done)
+	}
+}
+
+// cohort runs each fn on its own goroutine and waits until all of them
+// are blocked on a channel inside resolve: parked on a flight, or
+// holding one open in a miss the test controls. The returned function
+// waits for the cohort and returns its errors in fns order.
+func cohort(t *testing.T, fns ...func() error) func() []error {
+	t.Helper()
+	errs := make([]error, len(fns))
 	var wg sync.WaitGroup
-	results := make(chan bool, waiters)
-	for i := 0; i < waiters; i++ {
+	for i, fn := range fns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, ok := c.loadKeyed(key)
-			results <- ok
+			errs[i] = fn()
 		}()
 	}
-	time.Sleep(100 * time.Millisecond) // let the waiters park on fl.done
-	// Remove the file and its index entry before resolving the flight, so
-	// even a waiter unluckily scheduled after the close (which would
-	// legitimately retry as a fresh loader) probes ENOENT and counts no
-	// disk load — the assertion below is deterministic either way.
-	if err := os.Remove(matches[0]); err != nil {
-		t.Fatal(err)
-	}
-	c.index.remove(key)
-	loadsBefore := expTableDiskLoads.Value()
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(fl.done) // fl.table == nil: the load failed
-	wg.Wait()
-	close(results)
-	for ok := range results {
-		if ok {
-			t.Error("waiter reported a table from a failed load")
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "(*tableCache).resolve(") {
+				parked++
+			}
+		}
+		if parked >= len(fns) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d cohort goroutines parked in resolve", parked, len(fns))
 		}
 	}
-	if got := expTableDiskLoads.Value() - loadsBefore; got != 0 {
-		t.Errorf("cohort waiters did %d disk loads after the shared failure, want 0", got)
+	return func() []error {
+		wg.Wait()
+		return errs
 	}
 }
 
