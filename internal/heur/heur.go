@@ -53,9 +53,9 @@ func (l LocalSearch) Name() string { return "local-search" }
 
 // Schedule implements model.Scheduler.
 //
-// The search runs on model.Engine: each round generates the full ordered
-// swap (then relocation) neighborhood and scores it with batched
-// EvalMoves against the flat structure-of-arrays layout — no candidate
+// The search runs on model.Engine: each round streams the ordered swap
+// (then relocation) neighborhood through a 64-move buffer scored with
+// batched EvalMoves against the flat structure-of-arrays layout — no candidate
 // mutates the schedule, so there is nothing to undo and a rejected move
 // costs one subtree span walk. The first strictly improving candidate in
 // scan order is applied, exactly the first-improvement rule of the
@@ -90,68 +90,63 @@ func (l LocalSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) 
 	skipSame := model.IsBase(cm) || cm.TypeSymmetric()
 	var eng model.Engine
 	eng.Attach(sch)
-	cur := eng.RT()
 	n := len(set.Nodes)
-	var moves []model.Move
-	var out []int64
+	scan := firstImprover{eng: &eng, cur: eng.RT()}
 	for round := 0; round < rounds; round++ {
-		improved := false
 		// Move 1: swap tree positions of destination pairs.
-		moves = moves[:0]
+		scan.reset()
+	swaps:
 		for a := 1; a < n; a++ {
 			for b := a + 1; b < n; b++ {
 				if skipSame && set.Nodes[a] == set.Nodes[b] {
 					continue // same type: swap cannot change times
 				}
-				moves = append(moves, model.SwapMove(a, b))
+				if scan.push(model.SwapMove(a, b)) {
+					break swaps
+				}
 			}
 		}
-		if idx, rt := firstImproving(&eng, moves, &out, cur); idx >= 0 {
-			mv := moves[idx]
+		if scan.found() {
+			mv := scan.move
 			if err := sch.SwapNodes(mv.A, mv.B); err != nil {
 				return nil, err
 			}
 			eng.CommitSwap(mv.A, mv.B)
-			cur = rt
-			improved = true
+			continue
 		}
-		if !improved {
-			// Move 2: relocate any leaf to the end of another node's
-			// children list (later siblings at the old parent shift one
-			// rank earlier).
-			moves = moves[:0]
-			for v := 1; v < n; v++ {
-				leaf := model.NodeID(v)
-				if !sch.IsLeaf(leaf) {
+		// Move 2: relocate any leaf to the end of another node's children
+		// list (later siblings at the old parent shift one rank earlier).
+		scan.reset()
+	relocs:
+		for v := 1; v < n; v++ {
+			leaf := model.NodeID(v)
+			if !sch.IsLeaf(leaf) {
+				continue
+			}
+			for p := 0; p < n; p++ {
+				target := model.NodeID(p)
+				if p == v || target == sch.Parent(leaf) {
 					continue
 				}
-				for p := 0; p < n; p++ {
-					target := model.NodeID(p)
-					if p == v || target == sch.Parent(leaf) {
-						continue
-					}
-					if p != 0 && sch.Parent(target) == -1 {
-						continue
-					}
-					moves = append(moves, model.RelocateMove(leaf, target))
+				if p != 0 && sch.Parent(target) == -1 {
+					continue
+				}
+				if scan.push(model.RelocateMove(leaf, target)) {
+					break relocs
 				}
 			}
-			if idx, rt := firstImproving(&eng, moves, &out, cur); idx >= 0 {
-				mv := moves[idx]
-				if _, _, err := sch.RemoveLeaf(mv.A); err != nil {
-					return nil, err
-				}
-				if err := sch.InsertChild(mv.B, mv.A, len(sch.Children(mv.B))); err != nil {
-					return nil, err
-				}
-				eng.Attach(sch)
-				cur = rt
-				improved = true
-			}
 		}
-		if !improved {
-			break
+		if !scan.found() {
+			break // local optimum
 		}
+		mv := scan.move
+		if _, _, err := sch.RemoveLeaf(mv.A); err != nil {
+			return nil, err
+		}
+		if err := sch.InsertChild(mv.B, mv.A, len(sch.Children(mv.B))); err != nil {
+			return nil, err
+		}
+		eng.Attach(sch)
 	}
 	if err := sch.Validate(); err != nil {
 		return nil, fmt.Errorf("heur: local search corrupted the schedule: %w", err)
@@ -159,26 +154,54 @@ func (l LocalSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) 
 	return sch, nil
 }
 
-// firstImproving scores moves in chunks with EvalMoves and returns the
-// index and RT of the first candidate strictly better than cur, or
-// (-1, 0). Chunking keeps the early-exit behavior of a first-improvement
-// scan while the evaluation itself stays batched.
-func firstImproving(eng *model.Engine, moves []model.Move, out *[]int64, cur int64) (int, int64) {
-	const chunk = 64
-	if cap(*out) < chunk {
-		*out = make([]int64, chunk)
+// firstImprover streams a neighborhood in scan order through one
+// 64-move buffer, scoring each full buffer with a batched EvalMoves, and
+// stops at the first candidate strictly better than cur. The scan keeps
+// the early exit of a first-improvement search without ever holding the
+// whole neighborhood. A found candidate becomes the new cur.
+type firstImprover struct {
+	eng  *model.Engine
+	cur  int64
+	buf  [64]model.Move
+	out  [64]int64
+	n    int
+	hit  bool
+	move model.Move
+}
+
+// reset starts a new scan from the current incumbent.
+func (f *firstImprover) reset() { f.n, f.hit = 0, false }
+
+// push queues mv and reports whether the scan has found its improving
+// candidate (the caller then stops generating).
+func (f *firstImprover) push(mv model.Move) bool {
+	f.buf[f.n] = mv
+	f.n++
+	if f.n == len(f.buf) {
+		f.flush()
 	}
-	for start := 0; start < len(moves); start += chunk {
-		batch := moves[start:min(start+chunk, len(moves))]
-		o := (*out)[:len(batch)]
-		eng.EvalMoves(batch, o)
-		for i, rt := range o {
-			if rt < cur {
-				return start + i, rt
-			}
+	return f.hit
+}
+
+// found scores any queued remainder and reports whether an improving
+// candidate was found; it is then in f.move, with its RT in f.cur.
+func (f *firstImprover) found() bool {
+	if !f.hit && f.n > 0 {
+		f.flush()
+	}
+	return f.hit
+}
+
+func (f *firstImprover) flush() {
+	o := f.out[:f.n]
+	f.eng.EvalMoves(f.buf[:f.n], o)
+	f.n = 0
+	for i, rt := range o {
+		if rt < f.cur {
+			f.move, f.cur, f.hit = f.buf[i], rt, true
+			return
 		}
 	}
-	return -1, 0
 }
 
 // Annealing is a seeded simulated-annealing scheduler: random swap /
@@ -259,10 +282,6 @@ func (a Annealing) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 		t0 = 1
 	}
 	for i := 0; i < iters; i++ {
-		temp := t0 * math.Pow(0.995, float64(i))
-		if temp < 1e-3 {
-			temp = 1e-3
-		}
 		// Propose a random swap of two distinct destinations; same-type
 		// pairs are rejected before any evaluation (the swap cannot change
 		// times).
@@ -273,7 +292,16 @@ func (a Annealing) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 		}
 		_, rtInt := eng.Eval(model.SwapMove(x, y))
 		rt := float64(rtInt)
-		accept := rt <= cur || rng.Float64() < math.Exp((cur-rt)/temp)
+		accept := rt <= cur
+		if !accept {
+			// Only an uphill move reads the temperature, so math.Pow runs
+			// here rather than on every proposal.
+			temp := t0 * math.Pow(0.995, float64(i))
+			if temp < 1e-3 {
+				temp = 1e-3
+			}
+			accept = rng.Float64() < math.Exp((cur-rt)/temp)
+		}
 		if accept {
 			if err := sch.SwapNodes(model.NodeID(x), model.NodeID(y)); err != nil {
 				return nil, err

@@ -12,13 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// The service hot path: POST /v1/schedule through a real HTTP server.
-// The hit benchmark measures pure cache-serving throughput (canonicalize
-// + key + LRU lookup + response encoding); the miss benchmarks measure
-// full plan computation at two instance sizes. Record results in
-// BENCH.md when tracking the trajectory:
+// The service hot paths through a real HTTP server. The schedule hit
+// benchmark measures pure cache-serving throughput (canonicalize + key +
+// LRU lookup + response encoding); the schedule miss benchmarks measure
+// full plan computation at two instance sizes; the compare miss
+// benchmark plans every registry scheduler on a fresh network. Run:
 //
-//	go test ./internal/service -bench=Schedule -benchmem
+//	go test ./internal/service -run NONE -bench 'Schedule|Compare' -benchmem
 func benchServer(b *testing.B) *httptest.Server {
 	svc := New(Config{CacheSize: 1 << 16})
 	ts := httptest.NewServer(svc.Handler())
@@ -102,6 +102,36 @@ func BenchmarkScheduleCacheMiss(b *testing.B) {
 				postSchedule(b, ts.URL, bodies[i%512], "miss")
 			}
 		})
+	}
+}
+
+// BenchmarkCompareMiss posts a base-model /v1/compare for a fresh n=64
+// network per op, so every registry scheduler misses the plan cache and
+// the schedulers fan out across GOMAXPROCS.
+func BenchmarkCompareMiss(b *testing.B) {
+	ts := benchServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		body, err := json.Marshal(CompareRequest{Set: rawSet(b, genSet(b, 64, int64(i+1)))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		resp, err := http.Post(ts.URL+"/v1/compare", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var cr CompareResponse
+		err = json.NewDecoder(resp.Body).Decode(&cr)
+		resp.Body.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(cr.RT) == 0 {
+			b.Fatalf("HTTP %d, %d schedulers", resp.StatusCode, len(cr.RT))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/bounds"
 	"repro/internal/lower"
 	"repro/internal/model"
@@ -254,8 +255,10 @@ func decodeSet(raw json.RawMessage) (*model.MulticastSet, error) {
 // model before encoding and scoring, and the model joins the cache key
 // so a WAN plan can never be served for a base request of the same
 // network (or vice versa). The paper's lower bounds argue about the base
-// objective only, so non-base plans report a trivial zero bound.
-func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, rm resolvedModel) (*Plan, string, bool, error) {
+// objective only, so non-base plans report a trivial zero bound. A
+// non-nil bd supplies base-model bounds the caller already computed for
+// canon; nil computes them here on a miss.
+func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, rm resolvedModel, bd *baseBounds) (*Plan, string, bool, error) {
 	if !registry.Seeded(algo) {
 		seed = 0 // deterministic algorithms share one cache entry across seeds
 	}
@@ -286,11 +289,24 @@ func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, r
 		DT:           tm.DT,
 	}
 	if rm.cm == nil {
-		p.LowerBound = lower.Best(canon)
-		p.Bound = bounds.ParamsOf(canon)
+		if bd == nil {
+			bd = baseBoundsOf(canon)
+		}
+		p.LowerBound, p.Bound = bd.lower, bd.params
 	}
 	s.cache.Put(key, p)
 	return p, key, false, nil
+}
+
+// baseBounds holds the paper's base-model bounds of one canonical
+// instance: the strongest lower bound and the Theorem 1 constants.
+type baseBounds struct {
+	lower  int64
+	params bounds.Params
+}
+
+func baseBoundsOf(canon *model.MulticastSet) *baseBounds {
+	return &baseBounds{lower: lower.Best(canon), params: bounds.ParamsOf(canon)}
 }
 
 func theorem1(p bounds.Params) Theorem1 {
@@ -321,7 +337,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if s.fleetEnabled() && !fleetForwarded(r) && s.fleetSchedule(w, r, canon, rm, req) {
 		return
 	}
-	p, key, hit, err := s.planModel(canon, req.Algo, req.Seed, rm)
+	p, key, hit, err := s.planModel(canon, req.Algo, req.Seed, rm, nil)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -457,13 +473,26 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := CompareResponse{RT: map[string]int64{}}
-	for _, sched := range scheds {
-		p, _, _, err := s.planModel(canon, sched.Name(), req.Seed, rm)
-		if err != nil {
-			continue // a scheduler that cannot handle the instance is simply absent
+	// The paper's bounds argue about the base objective only; computed
+	// once here, they are shared by every plan this compare caches.
+	var bd *baseBounds
+	if rm.cm == nil {
+		bd = baseBoundsOf(canon)
+	}
+	// The schedulers are independent, so they fan out across cores; each
+	// writes only its own slot, and the map is built in registry order
+	// after the join.
+	plans := make([]*Plan, len(scheds))
+	batch.ForEach(0, len(scheds), func(_, i int) {
+		if p, _, _, err := s.planModel(canon, scheds[i].Name(), req.Seed, rm, bd); err == nil {
+			plans[i] = p
 		}
-		resp.RT[sched.Name()] = p.RT
+	})
+	resp := CompareResponse{RT: make(map[string]int64, len(scheds))}
+	for i, p := range plans {
+		if p != nil { // a scheduler that cannot handle the instance is simply absent
+			resp.RT[scheds[i].Name()] = p.RT
+		}
 	}
 	if len(resp.RT) == 0 {
 		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("no scheduler produced a plan"))
@@ -484,10 +513,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			resp.Optimal = &opt
 		}
 	}
-	if rm.cm == nil {
-		// The paper's bounds argue about the base objective only.
-		resp.LowerBound = lower.Best(canon)
-		resp.Theorem1 = theorem1(bounds.ParamsOf(canon))
+	if bd != nil {
+		resp.LowerBound = bd.lower
+		resp.Theorem1 = theorem1(bd.params)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -514,7 +542,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("format %q draws base-model timings; model %q supports format \"json\" only", req.Format, rm.cm.Name()))
 		return
 	}
-	p, _, _, err := s.planModel(canon, req.Algo, req.Seed, rm)
+	p, _, _, err := s.planModel(canon, req.Algo, req.Seed, rm, nil)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bounds"
+	"repro/internal/lower"
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/trace"
 )
 
@@ -280,6 +284,102 @@ func TestCompare(t *testing.T) {
 	}
 	if cr.LowerBound > *cr.Optimal {
 		t.Errorf("lower bound %d exceeds optimal %d", cr.LowerBound, *cr.Optimal)
+	}
+}
+
+// TestCompareFanOutMatchesSequential: /v1/compare runs its schedulers
+// concurrently and shares one computation of the base-model bounds with
+// every plan it caches. Its rt map must equal running each scheduler in
+// turn and scoring it, in the base model and on the generic model path;
+// its bounds must be the instance's; and a later /v1/schedule hit on one
+// of its plans must report the same bound. Several identical compares run
+// at once so that -race covers the shared plan cache.
+func TestCompareFanOutMatchesSequential(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, seed := range []int64{1, 2} {
+		raw := rawSet(t, genSet(t, 64, seed))
+		for _, mp := range []ModelParams{{}, {Model: "pipeline", Segments: 4}, {Model: "reduce"}, {Model: "barrier"}} {
+			canon, rm, err := resolveInstance(mp, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds, err := registry.SchedulersFor(seed, rm.cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]int64{}
+			for _, sched := range scheds {
+				sch, err := sched.Schedule(canon)
+				if err != nil {
+					continue
+				}
+				if rm.cm != nil {
+					sch.BindModel(rm.cm)
+				}
+				var tm model.Times
+				if err := model.EvalTimes(sch, &tm); err != nil {
+					t.Fatal(err)
+				}
+				want[sched.Name()] = tm.RT
+			}
+			var wantLB int64
+			var wantThm Theorem1
+			if rm.cm == nil {
+				wantLB, wantThm = lower.Best(canon), theorem1(bounds.ParamsOf(canon))
+			}
+
+			body, err := json.Marshal(CompareRequest{Seed: seed, Set: raw, ModelParams: mp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const clients = 4
+			got := make([]CompareResponse, clients)
+			errs := make([]error, clients)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/compare", "application/json", bytes.NewReader(body))
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					defer resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						errs[i] = fmt.Errorf("HTTP %d", resp.StatusCode)
+						return
+					}
+					errs[i] = json.NewDecoder(resp.Body).Decode(&got[i])
+				}()
+			}
+			wg.Wait()
+			for i, cr := range got {
+				if errs[i] != nil {
+					t.Fatalf("seed %d model %q: compare %d: %v", seed, mp.Model, i, errs[i])
+				}
+				if !maps.Equal(cr.RT, want) {
+					t.Errorf("seed %d model %q: compare %d rt = %v, want %v", seed, mp.Model, i, cr.RT, want)
+				}
+				if cr.LowerBound != wantLB || cr.Theorem1 != wantThm {
+					t.Errorf("seed %d model %q: compare %d bounds = %d %+v, want %d %+v",
+						seed, mp.Model, i, cr.LowerBound, cr.Theorem1, wantLB, wantThm)
+				}
+			}
+
+			resp, data := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Algo: "annealing", Seed: seed, Set: raw, ModelParams: mp})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("seed %d model %q: schedule: HTTP %d: %s", seed, mp.Model, resp.StatusCode, data)
+			}
+			var sr ScheduleResponse
+			if err := json.Unmarshal(data, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.Cache != "hit" || sr.RT != want["annealing"] || sr.LowerBound != wantLB || sr.Theorem1 != wantThm {
+				t.Errorf("seed %d model %q: schedule after compare = %s rt %d bounds %d %+v, want hit rt %d bounds %d %+v",
+					seed, mp.Model, sr.Cache, sr.RT, sr.LowerBound, sr.Theorem1, want["annealing"], wantLB, wantThm)
+			}
+		}
 	}
 }
 

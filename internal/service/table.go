@@ -513,19 +513,20 @@ func (c *tableCache) lookupSetAny(set *model.MulticastSet) (int64, bool) {
 // getOrBuild resolves the table for the analyzed instance, building it
 // (with the given fill parallelism) when neither memory nor the spill
 // has it. Builds share the build semaphore with optimalRT's solves; the
-// reported build time runs from holding the semaphore until the table
-// is cached and spilled. The returned source is one of TableCacheHit,
-// TableCacheDisk or TableCacheMiss; the table is borrowed and must be
-// Released by the caller.
+// reported build time is the fill alone, from holding the semaphore
+// until the DP returns (caching and spilling excluded). The returned
+// source is one of TableCacheHit, TableCacheDisk or TableCacheMiss; the
+// table is borrowed and must be Released by the caller.
 //
 //hnow:borrows
 func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table, string, string, time.Duration, error) {
 	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
-	var start time.Time
+	var buildTime time.Duration
 	t, source, err := c.resolve(key, func() (*exact.Table, string, error) {
 		c.buildSem <- struct{}{} // bound concurrent distinct-network builds
-		start = time.Now()
+		start := time.Now()
 		t, err := exact.BuildTableParallel(inst.Set, workers)
+		buildTime = time.Since(start)
 		<-c.buildSem
 		if err != nil {
 			return nil, "", err
@@ -537,11 +538,7 @@ func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table
 	if err != nil {
 		return nil, key, TableCacheMiss, 0, err
 	}
-	var buildTime time.Duration
-	if source == TableCacheMiss {
-		buildTime = time.Since(start)
-	}
-	return t, key, source, buildTime, nil
+	return t, key, source, buildTime, nil // buildTime is 0 unless this call filled
 }
 
 // optimalRT is /v1/compare's exact-optimum fallback when no table covers
