@@ -12,7 +12,7 @@
 //	               T(s, i - y - e_l) + S(s) )
 //
 // which the DP evaluates in O(n^(2k)) for fixed k. The package also
-// reconstructs an optimal schedule from the DP choices, precomputes the
+// rebuilds an optimal schedule from the DP values alone, precomputes the
 // full table the paper suggests (constant-time lookup for every possible
 // multicast in a network), and provides a pruned brute-force enumerator
 // used as an independent ground-truth oracle for small instances.
@@ -84,8 +84,7 @@ type DP struct {
 	planeOf  []int32
 	planeSrc []int
 
-	value  []int64  // -1 = unknown; index = planeOf[src]*prod + encoded count vector
-	choice []uint64 // packed (l, yState) for reconstruction
+	value []int64 // -1 = unknown; index = planeOf[src]*prod + encoded count vector
 	// pmin[idx] is the prefix minimum of value along the pivot axis:
 	// min over 0 <= t <= v_pivot of T(s, v - t*e_pivot). Maintained in
 	// O(1) per state during the fill (the predecessor sits one layer
@@ -138,7 +137,7 @@ type DP struct {
 	// tallies here once, when it ends.
 	evalCols atomic.Int64
 	// noCascade disables the nested block skip; tests use it to prove the
-	// skip changes iteration counts but never values or choices.
+	// skip changes iteration counts but never values.
 	noCascade bool
 
 	// Scratch for the sequential fill path; parallel workers carry their
@@ -207,7 +206,6 @@ func New(latency int64, types []Type, counts []int) (*DP, error) {
 	for i := range dp.value {
 		dp.value[i] = unknown
 	}
-	dp.choice = make([]uint64, total)
 	dp.pmin = make([]int64, total)
 	dp.cascade = make([][]int64, k-1)
 	for d := range dp.cascade {
@@ -246,6 +244,11 @@ func newGeometry(latency int64, types []Type, counts []int) (*DP, error) {
 		t := types[i]
 		if t.Send <= 0 || t.Recv <= 0 {
 			return nil, fmt.Errorf("exact: type %+v has non-positive overheads", t)
+		}
+		// One hop's cost stays within model.MaxCost, as in any valid set,
+		// so a value below inf plus one hop cannot overflow int64.
+		if t.Send > model.MaxCost || t.Recv > model.MaxCost || latency > model.MaxCost-t.Send-t.Recv {
+			return nil, fmt.Errorf("exact: type %+v with latency %d exceeds the cost bound %d", t, latency, int64(model.MaxCost))
 		}
 		if counts[i] < 0 {
 			return nil, fmt.Errorf("exact: negative count %d", counts[i])
@@ -472,10 +475,12 @@ func (dp *DP) checkQuery(srcType int, counts []int) error {
 //     column is then scanned exhaustively.
 //
 // Every skip discards only splits that provably cannot improve on the
-// running best, and updates are strictly improving, so the result —
-// value and tie-broken choice alike — is bit-identical to the blind
-// exhaustive scan.
-func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (int64, uint64) {
+// running best, so the value is bit-identical to the blind exhaustive
+// scan's. Which split attains it is not tracked: the crossover search can
+// settle on a different one among tied splits than the exhaustive scan
+// would. Reconstruction re-derives the exhaustive scan's split from the
+// values (see split), so every fill shape yields the same tree.
+func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) int64 {
 	k := len(dp.types)
 	S, L := dp.types[s].Send, dp.latency
 	p := dp.pivot
@@ -486,7 +491,6 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (in
 	vec, y, corner := sc.vec, sc.y, sc.corner
 	m := len(dp.odo)
 	best := inf
-	var bestChoice uint64
 	var cols int64
 	for l := 0; l < k; l++ {
 		if vec[l] == 0 {
@@ -573,42 +577,21 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (in
 							}
 						}
 						yState := yOuter + int64(lo)*sp
-						a := aVal[yState] + addA
-						b := bVal[baseState-yState] + S
-						v := a
-						if b > v {
-							v = b
-						}
-						if v < best {
+						if v := max(aVal[yState]+addA, bVal[baseState-yState]+S); v < best {
 							best = v
-							bestChoice = uint64(l)<<40 | uint64(yState)
 						}
 						if lo > 0 {
 							yState -= sp
-							a = aVal[yState] + addA
-							b = bVal[baseState-yState] + S
-							v = a
-							if b > v {
-								v = b
-							}
-							if v < best {
+							if v := max(aVal[yState]+addA, bVal[baseState-yState]+S); v < best {
 								best = v
-								bestChoice = uint64(l)<<40 | uint64(yState)
 							}
 						}
 					} else {
 						// Exhaustive column scan: sound without monotonicity.
 						for t := 0; t <= cp; t++ {
 							yState := yOuter + int64(t)*sp
-							a := aVal[yState] + addA
-							b := bVal[baseState-yState] + S
-							v := a
-							if b > v {
-								v = b
-							}
-							if v < best {
+							if v := max(aVal[yState]+addA, bVal[baseState-yState]+S); v < best {
 								best = v
-								bestChoice = uint64(l)<<40 | uint64(yState)
 							}
 						}
 					}
@@ -640,7 +623,7 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) (in
 		}
 	}
 	sc.cols += cols
-	return best, bestChoice
+	return best
 }
 
 // EvalColumns returns the cumulative number of odometer columns
@@ -695,7 +678,7 @@ func (dp *DP) fillStates(order []int32, layerOff []int32, lo, hi int) {
 }
 
 // fillOne evaluates one state (s, vecState) of layer t, maintaining the
-// value, choice and nested prefix-minimum tables, and reports whether
+// value and nested prefix-minimum tables, and reports whether
 // the new value violates pivot-axis monotonicity (the caller folds
 // violations into monotonePivot at its layer barrier). Already-known
 // states are left untouched. sc.vec must hold the decoded vecState.
@@ -710,9 +693,8 @@ func (dp *DP) fillOne(s, t int, vecState int64, sc *fillScratch, pruned bool) bo
 		dp.value[idx] = 0
 		return dp.notePruneState(idx, sc.vec, 0)
 	}
-	v, ch := dp.evalState(s, vecState, sc, pruned)
+	v := dp.evalState(s, vecState, sc, pruned)
 	dp.value[idx] = v
-	dp.choice[idx] = ch
 	return dp.notePruneState(idx, sc.vec, v)
 }
 
@@ -748,8 +730,8 @@ func (dp *DP) notePruneState(idx int64, vec []int, v int64) (violated bool) {
 // releasePruneState frees the fill-only prefix-minimum tables once every
 // state is filled. Past that point no fill path can reach them (fillOne
 // returns early on every known state), and dropping them cuts a cached
-// heap table's resident cost to just the value and choice planes —
-// matching what a table loaded from disk costs.
+// heap table's resident cost to just the value planes — matching what a
+// table loaded from disk costs.
 func (dp *DP) releasePruneState() {
 	for _, v := range dp.value {
 		if v == unknown {
@@ -772,9 +754,9 @@ func (dp *DP) FillAll() {
 // FillAllParallel is FillAll with each layer's work sharded across up to
 // workers goroutines (0 selects GOMAXPROCS). Layers are barriers: layer t
 // only starts once every state of layers < t is written, which is exactly
-// the dependency structure of the recurrence, so the result -- values and
-// reconstruction choices alike -- is deterministic and identical to the
-// sequential fill regardless of scheduling.
+// the dependency structure of the recurrence, so the values are
+// deterministic and identical to the sequential fill regardless of
+// scheduling.
 func (dp *DP) FillAllParallel(workers int) {
 	// More workers than cores never helps a CPU-bound fill, and the count
 	// can arrive from the network (/v1/table's parallelism field), so
@@ -871,7 +853,7 @@ func (dp *DP) fillLayers(workers int) (pooled int) {
 			continue
 		}
 		// Sampled at the layer barrier, exactly like the sequential fill,
-		// so values and choices stay bit-identical to it.
+		// so values and column counts stay bit-identical to it.
 		pruned := dp.monotonePivot.Load()
 		lt.off, lt.n, lt.t, lt.pruned = off, n, t, pruned
 		if n*len(dp.planeSrc) < smallLayerFill {
@@ -907,50 +889,81 @@ func (dp *DP) fillLayers(workers int) (pooled int) {
 	return pooled
 }
 
-// typeTree is an optimal schedule expressed over types rather than node
-// IDs; children are in delivery order.
-type typeTree struct {
-	typ      int
-	children []*typeTree
-}
-
-// reconstruct rebuilds an optimal type-level schedule for state (s, vec).
-// The state's box must be filled already (Optimal does this).
-func (dp *DP) reconstruct(s int, vec []int) *typeTree {
-	root := &typeTree{typ: s}
-	k := len(dp.types)
-	cur := append([]int(nil), vec...)
-	y := make([]int, k)
-	for {
-		total := 0
-		for _, v := range cur {
-			total += v
+// split re-derives the split evalState's exhaustive scan settles on for
+// the filled state (s, vecState) with value v: the first split, in that
+// scan's order — reserved type l ascending, then the odometer over
+// dp.odo with odo[0] fastest, then the pivot coordinate ascending — whose
+// max(a, b) equals v. The exhaustive scan keeps only strict improvements,
+// so its split is exactly the first one to reach the minimum, whichever
+// pruning the fill used. vec must hold the decoded vecState; y receives
+// the split's count vector. ok is false when no split reaches v, which
+// only a corrupt or hostile table can cause. Loaded values are below inf
+// and overheads at most model.MaxCost, so no sum here overflows.
+func (dp *DP) split(s int, vecState int64, vec []int, v int64, y []int) (l int, ok bool) {
+	S, L := dp.types[s].Send, dp.latency
+	p := dp.pivot
+	sp := dp.strides[p]
+	bVal := dp.value[int64(dp.planeOf[s])*dp.prod:]
+	for l = range dp.types {
+		if vec[l] == 0 {
+			continue
 		}
-		if total == 0 {
-			return root
+		baseState := vecState - dp.strides[l]
+		addA := S + L + dp.types[l].Recv
+		aVal := dp.value[int64(dp.planeOf[l])*dp.prod:]
+		cp := vec[p]
+		if p == l {
+			cp--
 		}
-		idx := dp.stateIndex(s, dp.encodeVec(cur))
-		if dp.value[idx] == unknown {
-			dp.fillBox(cur)
+		for j := range y {
+			y[j] = 0
 		}
-		ch := dp.choice[idx]
-		l := int(ch >> 40)
-		dp.decodeVec(int64(ch&((1<<40)-1)), y)
-		// First child: a node of type l rooting the subtree with counts y.
-		root.children = append(root.children, dp.reconstruct(l, y))
-		// Continue with the remaining counts from the same source.
-		for j := range cur {
-			cur[j] -= y[j]
+		var yOuter int64
+		for {
+			for t := 0; t <= cp; t++ {
+				yState := yOuter + int64(t)*sp
+				if max(aVal[yState]+addA, bVal[baseState-yState]+S) == v {
+					y[p] = t
+					return l, true
+				}
+			}
+			j := 0
+			for ; j < len(dp.odo); j++ {
+				ax := dp.odo[j]
+				capax := vec[ax]
+				if ax == l {
+					capax--
+				}
+				if y[ax] < capax {
+					y[ax]++
+					yOuter += dp.strides[ax]
+					break
+				}
+				yOuter -= int64(y[ax]) * dp.strides[ax]
+				y[ax] = 0
+			}
+			if j == len(dp.odo) {
+				break
+			}
 		}
-		cur[l]--
 	}
+	return 0, false
 }
 
-// ScheduleFor reconstructs an optimal schedule as a model.Schedule for a
+// ScheduleFor rebuilds an optimal schedule as a model.Schedule for a
 // concrete multicast set whose source has type srcType and whose
 // destinations realize counts. destsByType[j] lists the destination node
 // IDs of type j; the assignment of same-type IDs to tree positions is
 // arbitrary (they are interchangeable).
+//
+// The tree is the canonical one: at every node it takes the split the
+// exhaustive scan settles on (see split), so any fill of the same
+// network — sequential or parallel, a box or the full table, with or
+// without the crossover search, built or loaded — yields the same tree,
+// and it scores exactly the table value. A table whose values no split
+// reproduces, or whose empty states are not 0, is reported as an error:
+// the values may come from a hostile file. The walk keeps an explicit
+// stack, so a deep tree cannot exhaust the goroutine stack.
 func (dp *DP) ScheduleFor(set *model.MulticastSet, srcType int, counts []int, destsByType [][]model.NodeID) (*model.Schedule, error) {
 	if err := dp.checkQuery(srcType, counts); err != nil {
 		return nil, err
@@ -963,29 +976,48 @@ func (dp *DP) ScheduleFor(set *model.MulticastSet, srcType int, counts []int, de
 	if dp.value[dp.stateIndex(srcType, dp.encodeVec(counts))] == unknown {
 		dp.fillBox(counts)
 	}
-	tt := dp.reconstruct(srcType, counts)
+	k := len(dp.types)
 	sch := model.NewSchedule(set)
-	next := make([]int, len(counts)) // next unused ID index per type
-	var build func(parentID model.NodeID, node *typeTree) error
-	build = func(parentID model.NodeID, node *typeTree) error {
-		for _, c := range node.children {
-			ids := destsByType[c.typ]
-			if next[c.typ] >= len(ids) {
-				return fmt.Errorf("exact: reconstruction used more nodes of type %d than available", c.typ)
-			}
-			id := ids[next[c.typ]]
-			next[c.typ]++
-			if err := sch.AddChild(parentID, id); err != nil {
-				return err
-			}
-			if err := build(id, c); err != nil {
-				return err
-			}
-		}
-		return nil
+	next := make([]int, k) // next unused ID index per type
+	// A pending node: its ID and type, and the counts its subtree covers.
+	type pending struct {
+		id  model.NodeID
+		typ int
+		vec []int
 	}
-	if err := build(0, tt); err != nil {
-		return nil, err
+	stack := []pending{{id: 0, typ: srcType, vec: append([]int(nil), counts...)}}
+	for len(stack) > 0 {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		cur := nd.vec
+		// Hand out the node's children in delivery order: each split
+		// reserves the next child and the counts of its subtree, and the
+		// node goes on with the rest.
+		for {
+			curState := dp.encodeVec(cur)
+			v := dp.value[dp.stateIndex(nd.typ, curState)]
+			if curState == 0 {
+				if v != 0 {
+					return nil, fmt.Errorf("exact: table value %d for an empty multicast from type %d, want 0", v, nd.typ)
+				}
+				break
+			}
+			y := make([]int, k)
+			l, ok := dp.split(nd.typ, curState, cur, v, y)
+			if !ok {
+				return nil, fmt.Errorf("exact: table value %d at type %d, counts %v is reached by no split", v, nd.typ, cur)
+			}
+			id := destsByType[l][next[l]]
+			next[l]++
+			if err := sch.AddChild(nd.id, id); err != nil {
+				return nil, err
+			}
+			stack = append(stack, pending{id: id, typ: l, vec: y})
+			for j := range cur {
+				cur[j] -= y[j]
+			}
+			cur[l]--
+		}
 	}
 	return sch, nil
 }

@@ -170,7 +170,7 @@ func TestIterativeMatchesReferenceTiedTypes(t *testing.T) {
 }
 
 // TestParallelFillMatchesSequential checks FillAllParallel against the
-// sequential fill state for state (values and reconstruction choices).
+// sequential fill state for state.
 // Run under -race this also exercises the layer-barrier discipline. These
 // networks are small enough that every layer runs inline on the
 // coordinator; TestParallelPoolMatchesSequential covers the pool.
@@ -204,7 +204,7 @@ func TestParallelFillMatchesSequential(t *testing.T) {
 // fails at layer 3, before the pool's first layer, so the pool only scans
 // columns exhaustively; and a k=3 network whose monotonicity fails only
 // after the pool has filled pruned layers, so the pool runs both. At 2
-// and 4 workers the values, choices and EvalColumns must equal the
+// and 4 workers the values and EvalColumns must equal the
 // sequential fill's.
 func TestParallelPoolMatchesSequential(t *testing.T) {
 	tables, err := Analyze(benchK3N48Set())
@@ -272,8 +272,8 @@ func TestParallelPoolMatchesSequential(t *testing.T) {
 	}
 }
 
-// assertFillsMatch fails unless par holds exactly seq's values, choices,
-// examined column count and monotonicity verdict.
+// assertFillsMatch fails unless par holds exactly seq's values, examined
+// column count and monotonicity verdict.
 func assertFillsMatch(t *testing.T, name string, seq, par *DP) {
 	t.Helper()
 	if len(seq.value) != len(par.value) {
@@ -282,9 +282,6 @@ func assertFillsMatch(t *testing.T, name string, seq, par *DP) {
 	for i := range seq.value {
 		if seq.value[i] != par.value[i] {
 			t.Fatalf("%s: value[%d]: seq=%d par=%d", name, i, seq.value[i], par.value[i])
-		}
-		if seq.choice[i] != par.choice[i] {
-			t.Fatalf("%s: choice[%d]: seq=%d par=%d", name, i, seq.choice[i], par.choice[i])
 		}
 	}
 	if s, p := seq.EvalColumns(), par.EvalColumns(); s != p {

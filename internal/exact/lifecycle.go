@@ -71,7 +71,7 @@ func (lc *tableLifecycle) takeUnmappableLocked() []byte {
 	return m
 }
 
-// Mapped reports whether the table's value and choice arrays alias a
+// Mapped reports whether the table's value array aliases a
 // read-only file mapping (the OpenTableMapped path on supported hosts)
 // rather than heap memory.
 func (t *Table) Mapped() bool {
@@ -90,7 +90,7 @@ func (t *Table) SizeBytes() int64 {
 	if mapped != nil {
 		return int64(len(mapped))
 	}
-	n := len(t.dp.value) + len(t.dp.choice) + len(t.dp.pmin)
+	n := len(t.dp.value) + len(t.dp.pmin)
 	for _, c := range t.dp.cascade {
 		// Fully built tables have released the prefix-minimum state, so
 		// this counts nothing on the usual cache path; it only matters for

@@ -13,13 +13,13 @@ import (
 // the file read-only instead of reading it into the heap: a warm load
 // costs page-cache faults (plus the one checksum/validation pass) rather
 // than a full read and an array-sized allocation. On little-endian hosts
-// the returned table's value and choice arrays alias the mapping, which
+// the returned table's value array aliases the mapping, which
 // stays mapped until Close (deferred past in-flight Retains); on other
 // hosts the decode copies, the mapping is dropped immediately and the
 // table behaves exactly like a ReadTableFile load.
 //
 // The file is validated as strictly as ReadTableBytes — checksum, header
-// plausibility, choice invariants — before any value is trusted. A
+// plausibility, value bounds — before any value is trusted. A
 // concurrent WriteTableFile replacing the file is safe: the rename swaps
 // the directory entry while an existing mapping keeps the old inode's
 // pages.

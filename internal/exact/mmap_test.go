@@ -131,7 +131,7 @@ func TestTableCloseDefersUnmapPastRetains(t *testing.T) {
 
 // TestMappedLoadAllocatesTenXLess is the acceptance bar for the mmap
 // path: a warm load via OpenTableMapped must allocate at least 10× fewer
-// bytes than the ReadFile path, because the value/choice arrays alias the
+// bytes than the ReadFile path, because the value array aliases the
 // mapping instead of being read into fresh heap.
 func TestMappedLoadAllocatesTenXLess(t *testing.T) {
 	if runtime.GOOS != "linux" {

@@ -104,8 +104,8 @@ func Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 		return nil, err
 	}
 	// Re-score the reconstruction through the flat engine: the realized
-	// tree must achieve exactly the DP's value, or the choice decoding is
-	// buggy. One O(n) pass, negligible next to the table fill.
+	// tree must achieve exactly the DP's value, or the rebuild from values
+	// is buggy. One O(n) pass, negligible next to the table fill.
 	var eng model.Engine
 	eng.Attach(sch)
 	if eng.RT() != opt {
@@ -131,7 +131,7 @@ var _ model.Scheduler = Solver{}
 // constant-time lookup structure Theorem 2's closing remark describes. It
 // is safe for concurrent lookups once built. Tables come from BuildTable
 // (a fresh DP fill), from ReadTable (a persisted fill loaded back from
-// disk) or from OpenTableMapped (the value and choice arrays alias a
+// disk) or from OpenTableMapped (the value array aliases a
 // read-only mmap of the file); all are bit-identical by construction.
 //
 // A mapped table's backing memory lives until Close. Callers that share a

@@ -4,11 +4,11 @@ package exact
 // format for fully filled DP tables, so a daemon restart (or a CLI
 // pre-build) keeps a network's Theorem 2 precomputation.
 //
-// Table file format (version 1), every fixed-width field little-endian:
+// Table file format (version 2), every fixed-width field little-endian:
 //
 //	offset   size           field
 //	     0      8           magic "HNOWTBL\0"
-//	     8      4           format version (currently 1)
+//	     8      4           format version (currently 2)
 //	    12      4           CRC-32C (Castagnoli) of every byte from offset 16 on
 //	    16      8           network latency (int64)
 //	    24      4           k: number of distinct types
@@ -18,17 +18,19 @@ package exact
 //	 32+16k     8k          per-type destination counts (int64)
 //	 32+24k     8·planes·P  value array, plane-major, laid out exactly as the
 //	                        in-memory DP (value[plane*P + vecState]);
-//	                        P = prod(counts[j]+1)
-//	      …     8·planes·P  choice array, same layout
+//	                        P = prod(counts[j]+1); every value is in [0, inf)
+//
+// The file is the values and nothing else: an optimal tree is re-derived
+// from them (DP.ScheduleFor), so no per-state split is stored. Version 1
+// files, which carried a choice array after the values, are rejected.
 //
 // The header length 32+24k is a multiple of 8, so in a file buffer that is
-// itself 8-byte aligned (any Go heap allocation, any mmap) the value and
-// choice arrays are aligned too: on a little-endian host a load
-// reinterprets them in place — one read plus a checksum pass, no per-state
-// decode. The plane indirection is not stored; it is a pure function of
-// the type list and is re-derived (and cross-checked against the stored
-// plane count) on load, so dedup shrinks files by the same K/Planes factor
-// as memory.
+// itself 8-byte aligned (any Go heap allocation, any mmap) the value array
+// is aligned too: on a little-endian host a load reinterprets it in place —
+// one read plus a checksum-and-bounds pass, no per-state decode. The plane
+// indirection is not stored; it is a pure function of the type list and is
+// re-derived (and cross-checked against the stored plane count) on load,
+// so dedup shrinks files by the same K/Planes factor as memory.
 
 import (
 	"encoding/binary"
@@ -56,7 +58,7 @@ const (
 	tableMagic = "HNOWTBL\x00"
 	// TableFormatVersion is the on-disk format version WriteTo emits and
 	// ReadTable accepts. Files with any other version are rejected.
-	TableFormatVersion = 1
+	TableFormatVersion = 2
 	// maxTableTypes bounds the type count a file header may claim, so a
 	// corrupt header cannot demand absurd allocations before validation.
 	maxTableTypes = 1 << 16
@@ -68,7 +70,7 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 
 // leBytes returns the little-endian byte image of v: a zero-copy
 // reinterpretation on little-endian hosts, an encoded copy elsewhere.
-func leBytes[T int64 | uint64](v []T) []byte {
+func leBytes(v []int64) []byte {
 	if len(v) == 0 {
 		return nil
 	}
@@ -85,16 +87,16 @@ func leBytes[T int64 | uint64](v []T) []byte {
 // leWords is the inverse of leBytes: it views b (whose length must be a
 // multiple of 8) as little-endian 64-bit words, in place when the host is
 // little-endian and b is 8-byte aligned, by decoded copy otherwise.
-func leWords[T int64 | uint64](b []byte) []T {
+func leWords(b []byte) []int64 {
 	if len(b) == 0 {
 		return nil
 	}
 	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/8)
+		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
 	}
-	out := make([]T, len(b)/8)
+	out := make([]int64, len(b)/8)
 	for i := range out {
-		out[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
@@ -129,13 +131,11 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 		off += 8
 	}
 	valueBytes := leBytes(dp.value)
-	choiceBytes := leBytes(dp.choice)
 	crc := crc32.Update(0, castagnoli, header[16:])
 	crc = crc32.Update(crc, castagnoli, valueBytes)
-	crc = crc32.Update(crc, castagnoli, choiceBytes)
 	le.PutUint32(header[12:], crc)
 	var n int64
-	for _, b := range [][]byte{header, valueBytes, choiceBytes} {
+	for _, b := range [][]byte{header, valueBytes} {
 		m, err := w.Write(b)
 		n += int64(m)
 		if err != nil {
@@ -277,7 +277,7 @@ func ReadTableHeaderFile(path string) (*TableHeader, error) {
 
 // ReadTableBytes decodes a table from the bytes of a file in the WriteTo
 // format. On little-endian hosts the returned table aliases data's value
-// and choice regions (no copy, no per-state decode), so data must not be
+// region (no copy, no per-state decode), so data must not be
 // modified afterwards — this is the mmap path: map the file and hand the
 // bytes here. Truncated, corrupted, version-skewed or otherwise implausible
 // inputs are rejected with an error wrapping ErrBadTable; ReadTableBytes
@@ -300,81 +300,26 @@ func readTableBytes(data []byte) (*Table, error) {
 	}
 	le := binary.LittleEndian
 	words := int64(len(dp.planeSrc)) * dp.prod
-	if want := int64(headerLen) + 16*words; int64(len(data)) != want {
+	if want := int64(headerLen) + 8*words; int64(len(data)) != want {
 		return nil, fmt.Errorf("exact: table file is %d bytes, header implies %d", len(data), want)
 	}
 	if got, stored := crc32.Checksum(data[16:], castagnoli), le.Uint32(data[12:]); got != stored {
 		return nil, fmt.Errorf("exact: table checksum mismatch (file %08x, computed %08x)", stored, got)
 	}
-	value := leWords[int64](data[headerLen : int64(headerLen)+8*words])
-	choice := leWords[uint64](data[int64(headerLen)+8*words:])
+	value := leWords(data[headerLen:])
+	// Bounding every value below inf keeps each sum ScheduleFor forms
+	// (value + S + L + R, overheads at most model.MaxCost) inside int64.
 	for _, v := range value {
-		if v < 0 {
-			return nil, fmt.Errorf("exact: table contains an unfilled state")
+		if v < 0 || v >= inf {
+			return nil, fmt.Errorf("exact: table value %d outside [0, %d)", v, inf)
 		}
 	}
-	if err := dp.validateChoices(choice); err != nil {
-		return nil, err
-	}
 	dp.value = value
-	dp.choice = choice
 	dp.seqScratch = dp.newScratch(1)[0]
 	dp.monotonePivot.Store(true)
 	// No pmin/cascade and no layer ordering: a loaded table is fully
 	// filled, so every fill path that would need them is unreachable.
 	return &Table{dp: dp}, nil
-}
-
-// validateChoices checks every reconstruction choice of a loaded table:
-// for each state (plane, vec) with a positive total, the packed (l, y)
-// must reserve an available type (vec[l] >= 1) and split within the
-// remainder (y <= vec - e_l componentwise). This is exactly the
-// invariant the fill establishes, and it guarantees reconstruction from
-// a loaded table terminates without ever indexing out of range — the
-// checksum only catches accidental corruption, not a buggy or hostile
-// writer. One decode pass at load time; lookups stay zero-decode.
-func (dp *DP) validateChoices(choice []uint64) error {
-	k := len(dp.types)
-	vec := make([]int, k)
-	y := make([]int, k)
-	for p := 0; p < len(dp.planeSrc); p++ {
-		base := int64(p) * dp.prod
-		for j := range vec {
-			vec[j] = 0
-		}
-		total := 0
-		for st := int64(0); st < dp.prod; st++ {
-			if total > 0 {
-				ch := choice[base+st]
-				l := int(ch >> 40)
-				yState := int64(ch & ((1 << 40) - 1))
-				if l >= k || vec[l] == 0 || yState >= dp.prod {
-					return fmt.Errorf("exact: table choice out of range at state (%d, %d)", p, st)
-				}
-				dp.decodeVec(yState, y)
-				for j := range y {
-					capj := vec[j]
-					if j == l {
-						capj--
-					}
-					if y[j] > capj {
-						return fmt.Errorf("exact: table choice split exceeds state at (%d, %d)", p, st)
-					}
-				}
-			}
-			// Odometer to the next count vector.
-			for j := 0; j < k; j++ {
-				if vec[j] < dp.counts[j] {
-					vec[j]++
-					total++
-					break
-				}
-				total -= vec[j]
-				vec[j] = 0
-			}
-		}
-	}
-	return nil
 }
 
 // ReadTable reads a table in the WriteTo format from r. The stream is

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // goldenNetworks are the networks behind the checked-in testdata corpus:
@@ -34,7 +36,7 @@ func buildGolden(tb testing.TB, i int) *Table {
 
 // TestRegenerateGoldenTables rewrites the testdata corpus. It is skipped
 // in normal runs; set REGEN_GOLDEN=1 after a deliberate format version
-// bump (and only then — the golden files pin format v1).
+// bump (and only then — the golden files pin the current format version).
 func TestRegenerateGoldenTables(t *testing.T) {
 	if os.Getenv("REGEN_GOLDEN") == "" {
 		t.Skip("set REGEN_GOLDEN=1 to rewrite testdata golden tables")
@@ -55,7 +57,10 @@ func TestRegenerateGoldenTables(t *testing.T) {
 // plus deliberately broken variants so mutation starts on the error
 // surface. The decoder must never panic; any input it accepts must be a
 // canonical serialization: re-encoding it reproduces the input bytes
-// exactly, and the loaded table must be fully filled.
+// exactly, and the loaded table must be fully filled. Rebuilding the tree
+// for the full count vector from every source type must either fail with
+// an error or yield a schedule that the engine scores at exactly the
+// looked-up value: hostile values may be refused, never mis-served.
 func FuzzTableDecode(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.hnowtbl"))
 	if err != nil {
@@ -96,5 +101,37 @@ func FuzzTableDecode(f *testing.F) {
 			t.Fatalf("accepted input is not canonical: re-encoding differs (%d vs %d bytes)",
 				buf.Len(), len(data))
 		}
+		types, counts := tab.Types(), tab.Counts()
+		for src := range types {
+			set, destsByType := tableSet(tab.Latency(), types, src, counts)
+			want, err := tab.Lookup(src, counts)
+			if err != nil {
+				t.Fatalf("source %d: full-vector lookup: %v", src, err)
+			}
+			sch, err := tab.dp.ScheduleFor(set, src, counts, destsByType)
+			if err != nil {
+				continue // refused: the values admit no tree
+			}
+			var eng model.Engine
+			eng.Attach(sch)
+			if got := eng.RT(); got != want {
+				t.Fatalf("source %d: rebuilt tree scores %d, table value %d", src, got, want)
+			}
+		}
 	})
+}
+
+// tableSet realizes a table's full count vector as a multicast set: node
+// 0 of type src, then counts[j] destinations of type j, with the
+// destination IDs grouped by type as ScheduleFor takes them.
+func tableSet(latency int64, types []Type, src int, counts []int) (*model.MulticastSet, [][]model.NodeID) {
+	set := &model.MulticastSet{Latency: latency, Nodes: []model.Node{{Send: types[src].Send, Recv: types[src].Recv}}}
+	destsByType := make([][]model.NodeID, len(types))
+	for j, c := range counts {
+		for i := 0; i < c; i++ {
+			destsByType[j] = append(destsByType[j], len(set.Nodes))
+			set.Nodes = append(set.Nodes, model.Node{Send: types[j].Send, Recv: types[j].Recv})
+		}
+	}
+	return set, destsByType
 }

@@ -3,7 +3,9 @@ package exact
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,6 +25,13 @@ func roundTrip(t *testing.T, table *Table) *Table {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
+	// The file is the header and the values, nothing else.
+	if want := int64(32+24*table.K()) + 8*table.States(); n != want {
+		t.Fatalf("WriteTo wrote %d bytes, want 32 + 24k + 8·states = %d", n, want)
+	}
+	if got, want := table.SizeBytes(), 8*table.States(); !table.Mapped() && got != want {
+		t.Fatalf("heap table SizeBytes = %d, want 8·states = %d", got, want)
+	}
 	got, err := ReadTable(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadTable: %v", err)
@@ -30,7 +39,7 @@ func roundTrip(t *testing.T, table *Table) *Table {
 	return got
 }
 
-// checkBitIdentical compares two tables' full solver state.
+// checkBitIdentical compares two tables' geometry and values.
 func checkBitIdentical(t *testing.T, got, want *Table) {
 	t.Helper()
 	if got.Latency() != want.Latency() || got.K() != want.K() || got.Planes() != want.Planes() {
@@ -55,9 +64,6 @@ func checkBitIdentical(t *testing.T, got, want *Table) {
 	for i := range want.dp.value {
 		if got.dp.value[i] != want.dp.value[i] {
 			t.Fatalf("value[%d]: %d vs %d", i, got.dp.value[i], want.dp.value[i])
-		}
-		if got.dp.choice[i] != want.dp.choice[i] {
-			t.Fatalf("choice[%d]: %d vs %d", i, got.dp.choice[i], want.dp.choice[i])
 		}
 	}
 }
@@ -155,7 +161,7 @@ func TestPlaneDedupSharesEqualSendPlanes(t *testing.T) {
 
 // TestLoadedTableServesLookupsAndSchedules exercises the post-load API
 // surface: constant-time lookups, set lookups, and a reconstruction
-// driven purely by the persisted choice array.
+// driven purely by the persisted values.
 func TestLoadedTableServesLookupsAndSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	set := randTypedSet(rng, 9, 3)
@@ -244,21 +250,28 @@ func TestReadTableRejectsCorruption(t *testing.T) {
 			continue
 		}
 		// A surviving load must mean the flip landed somewhere genuinely
-		// irrelevant — there is no such byte in format v1.
+		// irrelevant — there is no such byte in the format.
 		t.Errorf("bit flip at offset %d silently accepted (k=%d states=%d)", i, tab.K(), tab.States())
 	}
-	skew := append([]byte(nil), good...)
-	skew[8] = TableFormatVersion + 1
-	if _, err := ReadTableBytes(skew); err == nil {
-		t.Error("version skew accepted")
+	// Version 1 (values plus a choice array) and any later version are
+	// rejected as bad tables, whatever follows the version field.
+	for _, v := range []uint32{TableFormatVersion - 1, TableFormatVersion + 1} {
+		skew := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(skew[8:], v)
+		if _, err := ReadTableBytes(skew); !errors.Is(err, ErrBadTable) {
+			t.Errorf("version %d: err = %v, want ErrBadTable", v, err)
+		}
 	}
 }
 
-// TestReadTableRejectsHostileChoices covers what the checksum cannot: a
-// writer that recomputes the CRC over garbage reconstruction choices.
-// Out-of-range or over-wide splits must be rejected at load, never left
-// to panic a later ScheduleFor.
-func TestReadTableRejectsHostileChoices(t *testing.T) {
+// TestReadTableRejectsHostileValues covers what the checksum cannot: a
+// writer that recomputes the CRC over values the fill never produced.
+// (a) A value at or above the DP's inf sentinel is rejected at load, so
+// no sum ScheduleFor forms can overflow. (b) A value below the true
+// optimum passes the load's bounds check, but no split reaches it, so
+// ScheduleFor reports an error instead of panicking or returning a tree
+// that does not score the value.
+func TestReadTableRejectsHostileValues(t *testing.T) {
 	set := figure1Set(t)
 	table, err := BuildTable(set)
 	if err != nil {
@@ -269,24 +282,32 @@ func TestReadTableRejectsHostileChoices(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	k := table.K()
-	headerLen := 32 + 24*k
-	words := int(table.States())
-	choiceOff := headerLen + 8*words
-
-	// The last state has the maximal total, so its choice is live.
-	lastChoice := choiceOff + 8*(words-1)
-	for name, ch := range map[string]uint64{
-		"type out of range":  uint64(k) << 40,           // l = k
-		"split out of range": uint64(table.dp.prod),     // yState = prod
-		"split exceeds vec":  uint64(table.dp.prod - 1), // full-box split of a reserved state
-	} {
+	inst, err := Analyze(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := table.dp.stateIndex(inst.SourceType, table.dp.encodeVec(inst.Counts))
+	off := 32 + 24*table.K() + 8*int(idx)
+	hostile := func(v int64) []byte {
 		mut := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint64(mut[lastChoice:], ch)
+		binary.LittleEndian.PutUint64(mut[off:], uint64(v))
 		binary.LittleEndian.PutUint32(mut[12:], crc32.Checksum(mut[16:], castagnoli))
-		if _, err := ReadTableBytes(mut); err == nil {
-			t.Errorf("%s: hostile choice accepted", name)
+		return mut
+	}
+
+	for _, v := range []int64{inf, inf + 1, math.MaxInt64, -1} {
+		if _, err := ReadTableBytes(hostile(v)); !errors.Is(err, ErrBadTable) {
+			t.Errorf("value %d: load err = %v, want ErrBadTable", v, err)
 		}
+	}
+
+	opt := table.dp.value[idx]
+	loaded, err := ReadTableBytes(hostile(opt - 1))
+	if err != nil {
+		t.Fatalf("in-range value rejected at load: %v", err)
+	}
+	if sch, err := loaded.dp.ScheduleFor(set, inst.SourceType, inst.Counts, inst.DestsByType); err == nil {
+		t.Errorf("value %d below the optimum %d rebuilt a tree scoring %d", opt-1, opt, model.RT(sch))
 	}
 }
 

@@ -11,9 +11,10 @@ package service
 //   - /v1/table on a non-owner first serves any locally cached or spilled
 //     copy, then cache-fills: it asks the owner to build-and-stream the
 //     raw .hnowtbl bytes (POST /v1/fleet/table/{key}), re-validates them
-//     through the exact store's checksum + choice-array validation
-//     (peers are untrusted by construction: a corrupt or truncated body
-//     is rejected with exact.ErrBadTable and counted in peer_errors),
+//     through the exact store's checksum, version and value-bound checks
+//     (peers are untrusted by construction: a corrupt, truncated or
+//     older-format body is rejected with exact.ErrBadTable and counted in
+//     peer_errors, and the table is built locally),
 //     and inserts the table into its own byte-budgeted LRU and spill dir
 //     — single-flighted per key by tableCache.resolve, the one path the
 //     local load and build go through too.
@@ -86,7 +87,8 @@ type FleetStats struct {
 	// OwnerHits counts requests this replica served for keys it owns.
 	OwnerHits int64 `json:"owner_hits"`
 	// PeerFetches counts tables successfully fetched from the owner and
-	// ingested (full checksum + choice validation) into the local cache.
+	// ingested (full checksum and value-bound validation) into the local
+	// cache.
 	PeerFetches int64 `json:"peer_fetches"`
 	// Forwards counts whole client requests relayed to the owner.
 	Forwards int64 `json:"forwards"`
@@ -490,7 +492,7 @@ func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 }
 
 // validatePeerTable re-validates fetched peer bytes through the store's
-// checksum + choice-array validation and pins the decoded table to the
+// checksum, version and value-bound checks and pins the decoded table to the
 // requested key. Peers are untrusted: any failure is charged to the peer
 // and surfaces wrapped in exact.ErrBadTable.
 func (s *Server) validatePeerTable(owner, key string, data []byte) (*exact.Table, error) {

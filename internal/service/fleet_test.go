@@ -240,7 +240,7 @@ func findOwnedSet(t *testing.T, urls []string, wantURL string) *model.MulticastS
 }
 
 // TestFleetCorruptPeerTableRejected: peers are untrusted by construction.
-// Bytes that fail the checksum/choice validation are rejected with
+// Bytes that fail the checksum/value validation are rejected with
 // exact.ErrBadTable, counted in peer_errors, and the request degrades to
 // a local fallback build that still answers correctly.
 func TestFleetCorruptPeerTableRejected(t *testing.T) {

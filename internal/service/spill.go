@@ -2,15 +2,13 @@ package service
 
 // Sharded spill directory and its persistent in-memory index.
 //
-// The spill layout (v2) shards table files by hash prefix:
+// The spill layout shards table files by hash prefix:
 //
 //	<table-dir>/ab/cdef0123456789.hnowtbl
 //
 // where "abcdef0123456789" is the 16-hex-digit locator hash of the
-// network key (the first two digits name the shard subdirectory). The v1
-// layout kept every file flat in <table-dir>; the index scan also reads
-// top-level files and routes by header, so such files keep being served
-// where they are.
+// network key (the first two digits name the shard subdirectory). Files
+// at the top level of <table-dir> are not read.
 //
 // The index is the startup-built map from network key to spill file: the
 // one place the service does ReadDir and header I/O. After startup every
@@ -90,10 +88,10 @@ type spillEntry struct {
 	path   string
 }
 
-// newSpillIndex scans dir (shard subdirectories and any stray top-level
-// files) and builds the index. Unreadable or invalid files are skipped —
-// they are counted as disk errors and a later load would reject them
-// anyway.
+// newSpillIndex scans dir's shard subdirectories and builds the index.
+// Unreadable or invalid files — among them any file of an older table
+// format version — are skipped: they are counted as disk errors, a later
+// load would reject them anyway, and a rebuild overwrites them.
 func newSpillIndex(dir string) *spillIndex {
 	ix := &spillIndex{entries: map[string]spillEntry{}}
 	expTableDirScans.Add(1)
@@ -102,19 +100,18 @@ func newSpillIndex(dir string) *spillIndex {
 		return ix
 	}
 	for _, e := range top {
-		if e.IsDir() {
-			sub, err := os.ReadDir(filepath.Join(dir, e.Name()))
-			if err != nil {
-				continue
-			}
-			for _, f := range sub {
-				if !f.IsDir() {
-					ix.indexFile(filepath.Join(dir, e.Name(), f.Name()))
-				}
-			}
+		if !e.IsDir() {
 			continue
 		}
-		ix.indexFile(filepath.Join(dir, e.Name()))
+		sub, err := os.ReadDir(filepath.Join(dir, e.Name()))
+		if err != nil {
+			continue
+		}
+		for _, f := range sub {
+			if !f.IsDir() {
+				ix.indexFile(filepath.Join(dir, e.Name(), f.Name()))
+			}
+		}
 	}
 	expTableIndexSize.Set(int64(len(ix.entries)))
 	return ix

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -109,46 +112,91 @@ func TestSpillIndexCoversWithZeroDiskScans(t *testing.T) {
 	}
 }
 
-// TestFlatSpillMigration: a spill directory written by the old flat
-// layout must keep working without any migration — the file stays where
-// it is, the startup index finds it by header, and the first compare is
-// served from disk.
+// TestFlatSpillMigration: table files of format version 1 — every file
+// the old flat layout (<table-dir>/<hash16>.hnowtbl) ever held, and any
+// sharded file written before the format dropped its choice array — are
+// never served. With one such file at the top level and one at the
+// network's sharded path, the startup index holds neither, the network is
+// built exactly once, the rebuild overwrites the sharded file in the
+// current format, and a restarted cache serves it from disk.
 func TestFlatSpillMigration(t *testing.T) {
 	dir := t.TempDir()
 	set := Canonicalize(spillSet(t, 7))
+	inst, err := exact.Analyze(set)
+	if err != nil {
+		t.Fatal(err)
+	}
 	table, err := exact.BuildTable(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write the file exactly where the v1 (flat) layout put it: the full
-	// 16-hex locator at the top level.
+	v1 := formatV1Bytes(t, table)
 	rel := TableFileName(table)
-	flat := strings.ReplaceAll(rel, string(filepath.Separator), "")
-	if err := exact.WriteTableFile(filepath.Join(dir, flat), table); err != nil {
+	flat := filepath.Join(dir, strings.ReplaceAll(rel, string(filepath.Separator), ""))
+	sharded := filepath.Join(dir, rel)
+	if err := os.MkdirAll(filepath.Dir(sharded), 0o755); err != nil {
 		t.Fatal(err)
+	}
+	for _, path := range []string{flat, sharded} {
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	c := newTableCache(0, dir)
-	if got := c.index.size(); got != 1 {
-		t.Fatalf("index holds %d networks, want 1", got)
+	if got := c.index.size(); got != 0 {
+		t.Fatalf("index holds %d networks from version-1 files, want 0", got)
+	}
+	if rt, ok := c.lookupSetAny(set); ok {
+		t.Fatalf("version-1 file served a lookup (rt %d)", rt)
 	}
 	want, err := exact.OptimalRT(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildsBefore := expTableBuilds.Value()
-	if rt, ok := c.lookupSetAny(set); !ok || rt != want {
-		t.Fatalf("flat-file lookup = (%d, %v), want (%d, true)", rt, ok, want)
+	for round, wantSource := range []string{TableCacheMiss, TableCacheHit} {
+		tab, _, source, _, err := c.getOrBuild(inst, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := tab.Lookup(inst.SourceType, inst.Counts)
+		tab.Release()
+		if err != nil || rt != want || source != wantSource {
+			t.Fatalf("round %d: (rt %d, source %q, err %v), want (%d, %q)", round, rt, source, err, want, wantSource)
+		}
 	}
-	if got := expTableBuilds.Value() - buildsBefore; got != 0 {
-		t.Errorf("flat-file lookup triggered %d DP builds, want 0", got)
+	if got := c.builds.Load(); got != 1 {
+		t.Errorf("network built %d times, want 1", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, flat)); err != nil {
-		t.Errorf("flat file moved: %v", err)
+	if _, err := exact.ReadTableFile(sharded); err != nil {
+		t.Errorf("rebuild left the sharded file unreadable: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, rel)); !os.IsNotExist(err) {
-		t.Errorf("flat file copied into the sharded layout (err %v)", err)
+
+	restarted := newTableCache(0, dir)
+	if got := restarted.index.size(); got != 1 {
+		t.Fatalf("restarted index holds %d networks, want 1 (the rebuilt sharded file)", got)
 	}
+	if rt, ok := restarted.lookupSetAny(set); !ok || rt != want {
+		t.Fatalf("restarted lookup = (%d, %v), want (%d, true)", rt, ok, want)
+	}
+	if got := restarted.builds.Load(); got != 0 {
+		t.Errorf("restarted cache built %d tables, want 0", got)
+	}
+}
+
+// formatV1Bytes re-encodes a table in table format version 1: the
+// current header and values with the version field set to 1, followed by
+// a (zeroed) choice array as long as the values, checksummed.
+func formatV1Bytes(t *testing.T, table *exact.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := table.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := append(buf.Bytes(), make([]byte, 8*table.States())...)
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	binary.LittleEndian.PutUint32(data[12:], crc32.Checksum(data[16:], crc32.MakeTable(crc32.Castagnoli)))
+	return data
 }
 
 // TestSpillIndexStartupReconcile is the crash-consistency test: a table

@@ -122,10 +122,14 @@ func networkKey(latency int64, types []exact.Type, counts []int) string {
 }
 
 // maxConcurrentTableBuilds bounds the DP fills in flight across keys —
-// full table builds and /v1/compare's one-off optimal solves alike. One
-// table can reach ~1 GiB at the MaxStates limit, so the memory risk is
-// per-build, not per-entry: distinct networks build concurrently up to
-// this cap and queue beyond it.
+// full table builds and /v1/compare's one-off optimal solves alike. A
+// fill allocates 8·(k+1) bytes per stored state (exact.New: the value
+// plane, the pivot prefix minima and k−1 cascade planes; the last two are
+// freed when the fill ends), and a network may store up to
+// exact.MaxStates = 2^26 states: 1.5 GiB for k=2, 2 GiB for k=3 and
+// 2.5 GiB for k=4 per fill, plus 4 bytes per count vector of layer order.
+// So the memory risk is per-build, not per-entry: distinct networks build
+// concurrently up to this cap and queue beyond it.
 const maxConcurrentTableBuilds = 2
 
 // defaultTableMemBytes is the default byte budget for cached tables.
