@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/client"
 	"repro/internal/cluster"
@@ -25,10 +24,9 @@ func startFleetServers(t *testing.T, n int) ([]*service.Server, []*httptest.Serv
 	svcs := make([]*service.Server, n)
 	for i := range ts {
 		svcs[i] = service.New(service.Config{
-			Self:         urls[i],
-			Peers:        urls,
-			TableDir:     t.TempDir(),
-			FleetTimeout: 2 * time.Second,
+			Self:     urls[i],
+			Peers:    urls,
+			TableDir: t.TempDir(),
 		})
 		ts[i].Config.Handler = svcs[i].Handler()
 		ts[i].Start()

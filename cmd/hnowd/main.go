@@ -22,7 +22,6 @@
 //	POST /v1/sweeps       start an async parameter sweep
 //	GET  /v1/sweeps/{id}  poll a sweep job
 //	GET  /v1/fleet/ring   fleet membership + digest
-//	GET  /v1/fleet/table/{key}  raw .hnowtbl bytes for peers (404 = not held)
 //	POST /v1/fleet/table/{key}  build-and-stream for peers (owner path)
 //	GET  /healthz         liveness + algorithm list
 //	GET  /debug/vars      expvar counters (cache, table, fleet, batch pool)
@@ -52,7 +51,7 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 64, "maximum retained sweep jobs")
 	tableMem := flag.Int64("table-mem", 1024, "byte budget for warm DP tables, in MiB (mapped tables count their file size)")
 	tableWorkers := flag.Int("table-workers", 0, "default /v1/table fill parallelism (0 = GOMAXPROCS)")
-	tableDir := flag.String("table-dir", "", "persist built DP tables to this directory (sharded layout; files of a flat v1 dir are served in place) and reload them across restarts (\"\" = off)")
+	tableDir := flag.String("table-dir", "", "persist built DP tables to this directory (sharded layout; top-level files are ignored) and reload them across restarts (\"\" = off)")
 	sweepMaxTrials := flag.Int("sweep-max-trials", 0, "per-request sweep trial cap (0 = default 50000)")
 	sweepMaxN := flag.Int("sweep-max-n", 0, "per-request sweep destination cap (0 = default 2048)")
 	sweepMaxK := flag.Int("sweep-max-k", 0, "per-request sweep type cap (0 = default 16)")
@@ -60,7 +59,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	self := flag.String("self", "", "fleet mode: this replica's advertised base URL (e.g. http://10.0.0.3:8080); \"\" = single-node")
 	peers := flag.String("peers", "", "fleet mode: comma-separated base URLs of every replica (self is added if absent)")
-	fleetTimeout := flag.Duration("fleet-timeout", 0, "per-peer request timeout for fleet fetches (0 = default 5s)")
 	flag.Parse()
 
 	var peerList []string
@@ -89,7 +87,6 @@ func main() {
 		SweepMaxPerturbed: *sweepMaxPerturbed,
 		Self:              *self,
 		Peers:             peerList,
-		FleetTimeout:      *fleetTimeout,
 	})
 	if *self != "" {
 		ring := svc.RingInfo()

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"fmt"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -189,4 +190,64 @@ func oracleSplit(dp *DP, s int, vec []int) (best int64, l int, y []int) {
 		walk(0)
 	}
 	return best, l, y
+}
+
+// TestTableSchedule: Table.Schedule rebuilds exact.Schedule's tree from
+// a built table and from a read-only mapped load of it (the values are
+// only read), for every source type the network's inventory admits, and
+// refuses an instance of another network.
+func TestTableSchedule(t *testing.T) {
+	set := cascadeNetworks()[0]
+	built, err := BuildTable(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "net.hnowtbl")
+	if err := WriteTableFile(path, built); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenTableMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	types, counts := built.Types(), built.Counts()
+	checked := 0
+	for src := range types {
+		srcSet, _ := tableSet(set.Latency, types, src, counts)
+		inst, err := Analyze(srcSet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(inst.Types, types) {
+			continue // a type held only by the old source leaves the inventory
+		}
+		want, err := Schedule(srcSet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tab := range map[string]*Table{"built": built, "mapped": mapped} {
+			got, err := tab.Schedule(inst)
+			if err != nil {
+				t.Fatalf("source type %d, %s table: %v", src, name, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("source type %d, %s table rebuilds\n%v\nexact.Schedule rebuilds\n%v", src, name, got, want)
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no source type kept the network's inventory")
+	}
+
+	other := &model.MulticastSet{Latency: set.Latency + 1, Nodes: set.Nodes}
+	inst, err := Analyze(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := built.Schedule(inst); err == nil {
+		t.Error("a table rebuilt a tree for another network's instance")
+	}
 }

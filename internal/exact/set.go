@@ -2,6 +2,7 @@ package exact
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -99,13 +100,19 @@ func Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch, err := dp.ScheduleFor(set, inst.SourceType, inst.Counts, inst.DestsByType)
+	return dp.scheduleChecked(inst, opt)
+}
+
+// scheduleChecked rebuilds inst's canonical optimal tree from the filled
+// values and re-scores it through the flat engine: the realized tree must
+// achieve exactly opt, the DP's value for inst, or the rebuild from
+// values is buggy (or the values hostile). One O(n) pass, negligible next
+// to the table fill.
+func (dp *DP) scheduleChecked(inst *Instance, opt int64) (*model.Schedule, error) {
+	sch, err := dp.ScheduleFor(inst.Set, inst.SourceType, inst.Counts, inst.DestsByType)
 	if err != nil {
 		return nil, err
 	}
-	// Re-score the reconstruction through the flat engine: the realized
-	// tree must achieve exactly the DP's value, or the rebuild from values
-	// is buggy. One O(n) pass, negligible next to the table fill.
 	var eng model.Engine
 	eng.Attach(sch)
 	if eng.RT() != opt {
@@ -209,6 +216,22 @@ func (t *Table) Lookup(srcType int, counts []int) (int64, error) {
 		return 0, fmt.Errorf("exact: state not filled (table built incorrectly)")
 	}
 	return v, nil
+}
+
+// Schedule rebuilds the canonical optimal schedule for an analyzed
+// instance of the table's own network (same latency and type inventory,
+// counts within the table's) from the stored values, re-scored like
+// exact.Schedule. It never fills: a built or loaded table holds every
+// value, so a read-only mapping is only read.
+func (t *Table) Schedule(inst *Instance) (*model.Schedule, error) {
+	if inst.Set.Latency != t.dp.latency || !slices.Equal(inst.Types, t.dp.types) {
+		return nil, fmt.Errorf("exact: instance is not drawn from the table's network")
+	}
+	opt, err := t.Lookup(inst.SourceType, inst.Counts)
+	if err != nil {
+		return nil, err
+	}
+	return t.dp.scheduleChecked(inst, opt)
 }
 
 // LookupSet answers an arbitrary multicast drawn from the table's network

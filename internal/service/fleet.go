@@ -18,12 +18,9 @@ package service
 //     and inserts the table into its own byte-budgeted LRU and spill dir
 //     — single-flighted per key by tableCache.resolve, the one path the
 //     local load and build go through too.
-//   - /v1/compare with "optimal" on a non-owner consults the ring before
-//     any local cold DP solve: it tries a pure peer fetch
-//     (GET /v1/fleet/table/{key}) and, when the owner has no table
-//     either, forwards the whole request to the owner so the scalar
-//     solve lands in the owner's single-flighted result cache instead of
-//     being duplicated on every replica.
+//   - /v1/compare with "optimal" takes the same path as /v1/table
+//     (Server.resolveTable) when no cached or spilled table covers the
+//     set, and looks the optimum up in the resolved table.
 //   - /v1/schedule on a plan-cache miss forwards to the owner and
 //     inserts the returned plan into the local cache, so repeats are
 //     served locally.
@@ -104,8 +101,7 @@ type FleetStats struct {
 // per-peer breakers and the HTTP client used for peer traffic.
 type fleetState struct {
 	self         string
-	timeout      time.Duration // ring, fetch and forward requests
-	buildTimeout time.Duration // build-and-stream requests (DP fills take minutes)
+	buildTimeout time.Duration // build-and-stream and forwarded requests (DP fills take minutes)
 	retries      int
 	brkThreshold int
 	brkCooldown  time.Duration
@@ -119,7 +115,6 @@ type fleetState struct {
 }
 
 const (
-	defaultFleetTimeout      = 5 * time.Second
 	defaultFleetBuildTimeout = 15 * time.Minute
 	defaultFleetRetries      = 1
 )
@@ -127,16 +122,12 @@ const (
 func newFleetState(cfg Config) *fleetState {
 	f := &fleetState{
 		self:         fleet.Normalize(cfg.Self),
-		timeout:      cfg.FleetTimeout,
 		buildTimeout: cfg.FleetBuildTimeout,
 		retries:      cfg.FleetRetries,
 		brkThreshold: cfg.FleetBreakerThreshold,
 		brkCooldown:  cfg.FleetBreakerCooldown,
 		breakers:     map[string]*fleet.Breaker{},
 		client:       &http.Client{},
-	}
-	if f.timeout <= 0 {
-		f.timeout = defaultFleetTimeout
 	}
 	if f.buildTimeout <= 0 {
 		f.buildTimeout = defaultFleetBuildTimeout
@@ -215,10 +206,6 @@ func (e *peerRejectedError) Error() string {
 	return fmt.Sprintf("peer rejected request (HTTP %d): %s", e.Status, e.Msg)
 }
 
-// errPeerMiss reports that the owner answered but does not have the
-// table (GET 404) — a legitimate outcome, not a peer failure.
-var errPeerMiss = errors.New("peer does not have the table")
-
 // errPeerUnavailable wraps transport-level peer failures (circuit open,
 // dial/timeout/5xx after retries).
 var errPeerUnavailable = errors.New("peer unavailable")
@@ -226,7 +213,7 @@ var errPeerUnavailable = errors.New("peer unavailable")
 // doPeer runs attempt against addr under the peer's circuit breaker with
 // bounded retry. Transport-level failures are retried once and, if
 // persistent, open the breaker and count toward peer_errors; semantic
-// outcomes (peerRejectedError, errPeerMiss) pass through untouched.
+// refusals (peerRejectedError) pass through untouched.
 func (f *fleetState) doPeer(addr string, attempt func() error) error {
 	br := f.breakerFor(addr)
 	if !br.Allow() {
@@ -240,7 +227,7 @@ func (f *fleetState) doPeer(addr string, attempt func() error) error {
 			return nil
 		}
 		var rej *peerRejectedError
-		if errors.As(err, &rej) || errors.Is(err, errPeerMiss) {
+		if errors.As(err, &rej) {
 			br.Success() // the peer is healthy; it just said no
 			return err
 		}
@@ -254,37 +241,6 @@ func (f *fleetState) doPeer(addr string, attempt func() error) error {
 // '|', ':' and '=' but never '/', so one escaped path segment carries them.
 func fleetTablePath(owner, key string) string {
 	return owner + "/v1/fleet/table/" + url.PathEscape(key)
-}
-
-// fetchTableBytes GETs the owner's spilled table bytes for key without
-// forcing a build. found is false when the owner answered 404.
-func (f *fleetState) fetchTableBytes(ctx context.Context, owner, key string) (data []byte, found bool, err error) {
-	err = f.doPeer(owner, func() error {
-		ctx, cancel := context.WithTimeout(ctx, f.timeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, fleetTablePath(owner, key), nil)
-		if err != nil {
-			return err
-		}
-		resp, err := f.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			return errPeerMiss
-		}
-		if resp.StatusCode/100 != 2 {
-			return fmt.Errorf("GET fleet table: HTTP %d", resp.StatusCode)
-		}
-		data, err = io.ReadAll(resp.Body)
-		found = err == nil
-		return err
-	})
-	if errors.Is(err, errPeerMiss) {
-		return nil, false, nil
-	}
-	return data, found, err
 }
 
 // buildFetchBytes POSTs a build-and-stream request to the owner: the
@@ -418,10 +374,6 @@ func (s *Server) FleetStats() FleetStats {
 // per-replica number behind the fleet's "one build per key" guarantee.
 func (s *Server) TableBuilds() int64 { return s.tables.builds.Load() }
 
-// OptSolves reports how many one-off cold optimal-RT DP solves this
-// server has run for /v1/compare.
-func (s *Server) OptSolves() int64 { return s.tables.optSolves.Load() }
-
 // SpillIndexSize reports how many networks this server's spill index
 // knows about (0 without a table dir). Peer-ingested tables are indexed
 // immediately, not only on restart.
@@ -441,32 +393,10 @@ func (s *Server) handleFleetRing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.fleet.info())
 }
 
-// handleFleetTableGet serves GET /v1/fleet/table/{key}: the raw .hnowtbl
-// bytes of the keyed table from this replica's memory or spill (a
-// spill-only resolve), 404 when it has none. It never builds — the pure
-// fetch path peers use before deciding to forward.
-func (s *Server) handleFleetTableGet(w http.ResponseWriter, r *http.Request) {
-	if !s.fleetEnabled() {
-		writeError(w, http.StatusNotFound, errors.New("fleet mode disabled"))
-		return
-	}
-	key := r.PathValue("key")
-	t, _, err := s.tables.resolve(key, nil)
-	if err != nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no table for key %q", key))
-		return
-	}
-	defer t.Release()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// A failed write is too late for a status change; the client's
-	// checksum validation rejects the truncated body.
-	t.WriteTo(w)
-}
-
 // handleFleetTablePost serves POST /v1/fleet/table/{key}: resolve the
 // table for the embedded set (a /v1/table body) through getOrBuild —
 // memory, spill, or a single-flighted fresh fill — and stream its raw
-// bytes. This is the one-round-trip cache-fill peers use for /v1/table.
+// bytes. This is the one-round-trip cache-fill of Server.resolveTable.
 func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 	if !s.fleetEnabled() {
 		writeError(w, http.StatusNotFound, errors.New("fleet mode disabled"))
@@ -481,7 +411,7 @@ func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("set resolves to key %q, path names %q", got, key))
 		return
 	}
-	t, _, _, _, err := s.tables.getOrBuild(inst, workers)
+	t, _, _, err := s.tables.getOrBuild(inst, workers)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -509,15 +439,39 @@ func (s *Server) validatePeerTable(owner, key string, data []byte) (*exact.Table
 	return t, nil
 }
 
-// serveFleetTable is /v1/table on a non-owner: local cache/spill first,
-// then a single-flighted build-and-fetch from the owner with full
-// re-validation, then — only if the owner is unreachable or served
-// garbage — a local fallback build.
-func (s *Server) serveFleetTable(w http.ResponseWriter, r *http.Request, owner, key string, inst *exact.Instance, workers int, req TableRequest) {
+// resolveTable is the one path from a request to the exact-key table
+// for inst: outside fleet mode, or for a request a peer relayed, it is
+// getOrBuild. In fleet mode the local cache comes first, so a replica
+// that already holds the table (e.g. the key's previous owner after a
+// membership change) keeps serving it until evicted; then the ring. The
+// owner resolves locally; a non-owner runs a single-flighted
+// build-and-stream from the owner (req is the body it sends) with full
+// re-validation, and only if the owner is unreachable or served garbage
+// a local fallback build. A refusal from the owner is returned as a
+// *peerRejectedError: a local build would fail the same way. On success
+// the table is borrowed (the caller must Release it); role is the
+// request's fleet role, "" outside fleet mode and for local hits, and
+// buildTime is 0 unless this call filled the table.
+//
+//hnow:borrows
+func (s *Server) resolveTable(r *http.Request, inst *exact.Instance, key string, workers int, req TableRequest) (t *exact.Table, source, role string, buildTime time.Duration, err error) {
+	if !s.fleetEnabled() || fleetForwarded(r) {
+		t, source, buildTime, err = s.tables.getOrBuild(inst, workers)
+		return t, source, "", buildTime, err
+	}
+	if t, ok := s.tables.get(key); ok {
+		expTableHits.Add(1)
+		return t, TableCacheHit, "", 0, nil
+	}
+	owner, self := s.fleet.route(key)
+	if self {
+		s.fleet.ownerHit()
+		t, source, buildTime, err = s.tables.getOrBuild(inst, workers)
+		return t, source, FleetRoleOwner, buildTime, err
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return nil, "", "", 0, err
 	}
 	fetch := func() (*exact.Table, string, error) {
 		data, err := s.fleet.buildFetchBytes(r.Context(), owner, key, body)
@@ -527,79 +481,23 @@ func (s *Server) serveFleetTable(w http.ResponseWriter, r *http.Request, owner, 
 		t, err := s.validatePeerTable(owner, key, data)
 		return t, TableCachePeer, err
 	}
-	t, source, err := s.tables.resolve(key, fetch)
-	if err != nil {
-		var rej *peerRejectedError
-		if errors.As(err, &rej) {
-			// The owner understood the request and refused (e.g. state
-			// space over the build guard); a local build would fail the
-			// same way, so relay the refusal.
-			writeError(w, rej.Status, errors.New(rej.Msg))
-			return
+	t, source, err = s.tables.resolve(key, fetch)
+	if err == nil {
+		if source == TableCachePeer {
+			s.fleet.peerFetch()
+			role = FleetRolePeer
 		}
-		// Owner unreachable or its bytes invalid: degrade to a local
-		// build so the fleet never makes a request fail that a single
-		// daemon could serve.
-		s.fleet.fallbackBuild()
-		t, _, source, buildTime, err := s.tables.getOrBuild(inst, workers)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		defer t.Release()
-		s.writeTableResponse(w, t, inst, key, source, buildTime, FleetRoleFallback)
-		return
+		return t, source, role, 0, nil
 	}
-	defer t.Release()
-	role := ""
-	if source == TableCachePeer {
-		s.fleet.peerFetch()
-		role = FleetRolePeer
+	var rej *peerRejectedError
+	if errors.As(err, &rej) {
+		return nil, "", "", 0, err
 	}
-	s.writeTableResponse(w, t, inst, key, source, 0, role)
-}
-
-// fleetOutcome classifies a non-owner's attempt to answer an optimal
-// lookup from the owner's table.
-type fleetOutcome int
-
-const (
-	fleetFound       fleetOutcome = iota // answered from the owner's table
-	fleetMiss                            // owner reachable but has no covering table
-	fleetUnreachable                     // owner down or serving garbage
-)
-
-// fleetOptimal tries to answer canon's exact optimum from the owner's
-// table without forcing a build: GET the bytes, ingest (validated, LRU,
-// spill, index), look up. Used by /v1/compare's optimal path so
-// non-owners never duplicate a cold solve the owner could serve.
-func (s *Server) fleetOptimal(ctx context.Context, owner, key string, canon *model.MulticastSet) (int64, fleetOutcome) {
-	fetch := func() (*exact.Table, string, error) {
-		data, found, err := s.fleet.fetchTableBytes(ctx, owner, key)
-		if err != nil {
-			return nil, "", err
-		}
-		if !found {
-			return nil, "", errPeerMiss
-		}
-		t, err := s.validatePeerTable(owner, key, data)
-		return t, TableCachePeer, err
-	}
-	t, source, err := s.tables.resolve(key, fetch)
-	if err != nil {
-		if errors.Is(err, errPeerMiss) {
-			return 0, fleetMiss
-		}
-		return 0, fleetUnreachable
-	}
-	defer t.Release()
-	if source == TableCachePeer {
-		s.fleet.peerFetch()
-	}
-	if rt, ok := t.LookupSet(canon); ok {
-		return rt, fleetFound
-	}
-	return 0, fleetMiss
+	// Owner unreachable or its bytes invalid: degrade to a local build so
+	// the fleet never fails a request that a single daemon could serve.
+	s.fleet.fallbackBuild()
+	t, source, buildTime, err = s.tables.getOrBuild(inst, workers)
+	return t, source, FleetRoleFallback, buildTime, err
 }
 
 // relayResponse writes a forwarded peer response verbatim.

@@ -40,7 +40,6 @@ func startFleet(t *testing.T, n int, mut func(i int, cfg *Config)) *testFleet {
 			Self:                 urls[i],
 			Peers:                urls,
 			TableDir:             t.TempDir(),
-			FleetTimeout:         2 * time.Second,
 			FleetBuildTimeout:    time.Minute,
 			FleetBreakerCooldown: 50 * time.Millisecond,
 		}
@@ -213,7 +212,6 @@ func corruptOwner(t *testing.T) (*httptest.Server, string) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write([]byte("HNOWTBL\x00 definitely not a table"))
 	}
-	mux.HandleFunc("GET /v1/fleet/table/{key}", garbage)
 	mux.HandleFunc("POST /v1/fleet/table/{key}", garbage)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -253,7 +251,6 @@ func TestFleetCorruptPeerTableRejected(t *testing.T) {
 		Self:              realURL,
 		Peers:             []string{realURL, stubURL},
 		TableDir:          t.TempDir(),
-		FleetTimeout:      2 * time.Second,
 		FleetBuildTimeout: time.Minute,
 	})
 	real.Config.Handler = svc.Handler()
@@ -406,17 +403,22 @@ func TestFleetMembershipHandoff(t *testing.T) {
 	}
 }
 
-// TestFleetCompareConsultsRing is the /v1/compare bugfix: a non-owner
-// with no covering table must fetch the owner's table (or forward) and
-// never run its own cold OptimalRT solve while the owner is reachable.
+// TestFleetCompareConsultsRing: a non-owner with no covering table
+// answers /v1/compare's optimum from the owner's table, fetched through
+// the same build-and-stream path as /v1/table, and never runs its own
+// fill while the owner is reachable.
 func TestFleetCompareConsultsRing(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	set := fleetSet(t, 33)
 	owner := f.ownerIndex(t, set)
 	other := 1 - owner
+	want, err := exact.OptimalRT(Canonicalize(set))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Cold compare on the non-owner: the owner has no table either, so
-	// the whole request is forwarded; the scalar solve runs owner-side.
+	// Cold compare on the non-owner: the owner builds the table once and
+	// streams it; the non-owner ingests it and looks the optimum up.
 	resp, body := post(t, f.urls[other]+"/v1/compare", CompareRequest{Set: rawSet(t, set), Optimal: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compare: HTTP %d: %s", resp.StatusCode, body)
@@ -425,22 +427,20 @@ func TestFleetCompareConsultsRing(t *testing.T) {
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
-	if cr.Optimal == nil {
-		t.Fatal("forwarded compare returned no optimal")
+	if cr.Optimal == nil || *cr.Optimal != want {
+		t.Fatalf("non-owner compare optimal = %v, want %d", cr.Optimal, want)
 	}
-	if n := f.svcs[other].OptSolves(); n != 0 {
-		t.Errorf("non-owner ran %d cold optimal solves, want 0 (bugfix)", n)
+	if n := f.svcs[owner].TableBuilds(); n != 1 {
+		t.Errorf("owner ran %d table builds, want 1", n)
 	}
-	if n := f.svcs[owner].OptSolves(); n != 1 {
-		t.Errorf("owner ran %d cold optimal solves, want 1", n)
+	if n := f.svcs[other].TableBuilds(); n != 0 {
+		t.Errorf("non-owner ran %d table builds, want 0", n)
 	}
-	if st := f.svcs[other].FleetStats(); st.Forwards != 1 {
-		t.Errorf("non-owner stats = %+v, want 1 forward", st)
+	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 || st.Forwards != 0 {
+		t.Errorf("non-owner stats = %+v, want 1 peer fetch and no forward", st)
 	}
 
-	// Warm the owner's table; now the non-owner answers via peer fetch
-	// and serves future compares locally.
-	warmTable(t, f.urls[owner], set)
+	// The ingested table now serves the non-owner's repeats locally.
 	resp, body = post(t, f.urls[other]+"/v1/compare", CompareRequest{Set: rawSet(t, set), Optimal: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compare: HTTP %d: %s", resp.StatusCode, body)
@@ -449,14 +449,14 @@ func TestFleetCompareConsultsRing(t *testing.T) {
 	if err := json.Unmarshal(body, &cr2); err != nil {
 		t.Fatal(err)
 	}
-	if cr2.Optimal == nil || *cr2.Optimal != *cr.Optimal {
-		t.Fatalf("optimal mismatch after peer fetch: %v vs %v", cr2.Optimal, cr.Optimal)
+	if cr2.Optimal == nil || *cr2.Optimal != want {
+		t.Fatalf("repeat compare optimal = %v, want %d", cr2.Optimal, want)
 	}
-	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 {
-		t.Errorf("non-owner stats = %+v, want 1 peer fetch", st)
+	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 || st.Forwards != 0 {
+		t.Errorf("repeat compare left stats %+v, want still 1 peer fetch", st)
 	}
-	if n := f.svcs[other].OptSolves(); n != 0 {
-		t.Errorf("non-owner still must not solve locally, ran %d", n)
+	if n := f.totalBuilds(); n != 1 {
+		t.Errorf("fleet ran %d builds, want 1", n)
 	}
 }
 

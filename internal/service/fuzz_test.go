@@ -22,7 +22,8 @@ func FuzzHTTPRequests(f *testing.F) {
 	const base = `{"latency":1,"nodes":[{"send":2,"recv":3},{"send":1,"recv":1},{"send":1,"recv":1},{"send":3,"recv":4}]}`
 	for _, body := range []string{
 		`{"set":` + base + `}`,
-		`{"algo":"greedy","optimal":true,"set":` + base + `}`,
+		`{"algo":"greedy","set":` + base + `}`,
+		`{"optimal":true,"set":` + base + `}`,
 		`{"model":"wan","set":` + base + `,"lat":[[0,2,5,9],[2,0,4,4],[7,1,0,3],[1,1,1,0]]}`,
 		`{"model":"wan","wan":{"clusters":2,"nodes_per_cluster":3,"lan_latency":1,"wan_latency":20,"seed":4}}`,
 		`{"model":"pipeline","segments":3,"set":` + base + `}`,

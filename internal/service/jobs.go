@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/cluster"
+	"repro/internal/exact"
 	"repro/internal/model"
 	"repro/internal/registry"
 	"repro/internal/stats"
@@ -196,6 +197,7 @@ type jobStore struct {
 	ctx            context.Context
 	maxJobs        int
 	defaultWorkers int
+	buildSem       chan struct{} // the table cache's: exact-solver trials hold it
 	caps           sweepCaps
 
 	mu     sync.Mutex
@@ -210,12 +212,33 @@ type jobState struct {
 	job Job // guarded by the store mutex
 }
 
-func newJobStore(ctx context.Context, maxJobs, defaultWorkers int, caps sweepCaps) *jobStore {
+func newJobStore(ctx context.Context, maxJobs, defaultWorkers int, buildSem chan struct{}, caps sweepCaps) *jobStore {
 	if maxJobs < 1 {
 		maxJobs = 64
 	}
 	caps.fill()
-	return &jobStore{ctx: ctx, maxJobs: maxJobs, defaultWorkers: defaultWorkers, caps: caps, jobs: map[string]*jobState{}}
+	return &jobStore{ctx: ctx, maxJobs: maxJobs, defaultWorkers: defaultWorkers, buildSem: buildSem,
+		caps: caps, jobs: map[string]*jobState{}}
+}
+
+// boundedSolver is the exact DP solver holding the build semaphore
+// around each schedule, so a sweep's fills count against the same bound
+// as the table cache's builds. It delegates Name, so sweep result keys
+// are the solver's own.
+type boundedSolver struct {
+	exact.Solver
+	sem chan struct{}
+	ctx context.Context
+}
+
+func (b boundedSolver) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
+	select {
+	case b.sem <- struct{}{}:
+	case <-b.ctx.Done(): // shutdown must not wait for a build slot
+		return nil, b.ctx.Err()
+	}
+	defer func() { <-b.sem }()
+	return b.Solver.Schedule(set)
 }
 
 func (req *SweepRequest) fill() {
@@ -272,6 +295,11 @@ func (js *jobStore) start(req SweepRequest) (Job, error) {
 	switch req.Model {
 	case "", "base":
 		schedulers, err = registry.Select(req.Schedulers, req.Seed)
+		for i, sc := range schedulers {
+			if sv, ok := sc.(exact.Solver); ok {
+				schedulers[i] = boundedSolver{Solver: sv, sem: js.buildSem, ctx: js.ctx}
+			}
+		}
 	case "wan":
 		// The instance sizes come from the WAN spec, so the n cap must too.
 		if n := req.WAN.Clusters * req.WAN.NodesPerCluster; n > js.caps.maxN {

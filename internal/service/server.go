@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/bounds"
+	"repro/internal/exact"
 	"repro/internal/lower"
 	"repro/internal/model"
 	"repro/internal/registry"
@@ -42,9 +42,9 @@ type Config struct {
 	// TableDir, when non-empty, persists every built DP table to this
 	// directory (atomic temp-file + rename, versioned checksummed format,
 	// sharded by hash prefix) and checks it before building, so a
-	// restarted daemon keeps its network precomputations. Tables left at
-	// the top level by the older flat layout are indexed and served in
-	// place. "" disables the spill.
+	// restarted daemon keeps its network precomputations. Only the shard
+	// subdirectories are read; a file at the top level is ignored. ""
+	// disables the spill.
 	TableDir string
 	// SweepMaxTrials / SweepMaxN / SweepMaxK cap sweep requests (defaults
 	// 50000 trials, 2048 destinations, 16 types): one unbounded sweep
@@ -65,10 +65,8 @@ type Config struct {
 	// replica; see internal/service/fleet.go for the routing semantics.
 	Self  string
 	Peers []string
-	// FleetTimeout bounds ring, table-fetch and short peer requests
-	// (default 5s); FleetBuildTimeout bounds build-and-stream and
-	// forwarded requests, which may cover a DP fill (default 15m).
-	FleetTimeout      time.Duration
+	// FleetBuildTimeout bounds build-and-stream and forwarded requests,
+	// which may cover a DP fill (default 15m).
 	FleetBuildTimeout time.Duration
 	// FleetRetries is how many extra attempts follow a transport-level
 	// peer failure (default 1; semantic refusals are never retried).
@@ -101,11 +99,12 @@ func New(cfg Config) *Server {
 		cfg.CacheShards = 16
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	tables := newTableCache(cfg.TableMemBytes, cfg.TableDir)
 	s := &Server{
 		cache:        NewCache(cfg.CacheSize, cfg.CacheShards),
-		tables:       newTableCache(cfg.TableMemBytes, cfg.TableDir),
+		tables:       tables,
 		tableWorkers: cfg.TableWorkers,
-		jobs: newJobStore(ctx, cfg.MaxJobs, cfg.Workers,
+		jobs: newJobStore(ctx, cfg.MaxJobs, cfg.Workers, tables.buildSem,
 			sweepCaps{maxTrials: cfg.SweepMaxTrials, maxN: cfg.SweepMaxN, maxK: cfg.SweepMaxK,
 				maxPerturbed: cfg.SweepMaxPerturbed}),
 		mux:    http.NewServeMux(),
@@ -116,7 +115,6 @@ func New(cfg Config) *Server {
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/fleet/ring", s.handleFleetRing)
-	s.mux.HandleFunc("GET /v1/fleet/table/{key}", s.handleFleetTableGet)
 	s.mux.HandleFunc("POST /v1/fleet/table/{key}", s.handleFleetTablePost)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
@@ -236,6 +234,19 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// decodeRequest decodes a JSON request body into v. An unknown field is
+// an error, so a misspelt option is a 400 naming it rather than silently
+// ignored. On failure it has written the 400 and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "algorithms": registry.Names()})
 }
@@ -270,7 +281,12 @@ func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, r
 	if err != nil {
 		return nil, key, false, err
 	}
-	sch, err := sched.Schedule(canon)
+	var sch *model.Schedule
+	if _, ok := sched.(exact.Solver); ok {
+		sch, err = s.optimalSchedule(canon)
+	} else {
+		sch, err = sched.Schedule(canon)
+	}
 	if err != nil {
 		return nil, key, false, err
 	}
@@ -298,6 +314,23 @@ func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, r
 	return p, key, false, nil
 }
 
+// optimalSchedule rebuilds the exact optimum's canonical tree for canon
+// from its network's table, resolved (and built if need be) through the
+// table cache, so every fill holds the build semaphore and one network
+// is filled once however many requests ask for it.
+func (s *Server) optimalSchedule(canon *model.MulticastSet) (*model.Schedule, error) {
+	inst, err := exact.Analyze(canon)
+	if err != nil {
+		return nil, err
+	}
+	t, _, _, err := s.tables.getOrBuild(inst, s.tableWorkers)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Release()
+	return t.Schedule(inst)
+}
+
 // baseBounds holds the paper's base-model bounds of one canonical
 // instance: the strongest lower bound and the Theorem 1 constants.
 type baseBounds struct {
@@ -322,8 +355,7 @@ func cacheLabel(hit bool) string {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Algo == "" {
@@ -413,14 +445,8 @@ func (s *Server) fleetSchedule(w http.ResponseWriter, r *http.Request, canon *mo
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
 	var req CompareRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	canon, rm, err := resolveInstance(req.ModelParams, req.Set)
@@ -437,40 +463,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
-	}
-
-	// Fleet consult for the exact optimum — before any local cold DP
-	// work on a network owned elsewhere (this covers the disk-fallback
-	// path too: lookupSetAny runs first, so local memory, spill and the
-	// covering index all still win, but a miss no longer silently
-	// duplicates the owner's solve).
-	var fleetOpt *int64
-	if req.Optimal && s.fleetEnabled() && !fleetForwarded(r) {
-		if opt, ok := s.tables.lookupSetAny(canon); ok {
-			fleetOpt = &opt
-		} else if nkey, err := fleetKeyOf(canon); err == nil {
-			if owner, self := s.fleet.route(nkey); !self {
-				opt, outcome := s.fleetOptimal(r.Context(), owner, nkey, canon)
-				switch outcome {
-				case fleetFound:
-					fleetOpt = &opt
-				case fleetMiss:
-					// The owner has no table either: forward the whole
-					// compare so the cold scalar solve lands in the owner's
-					// single-flighted result cache instead of running on
-					// every replica that asks.
-					if status, data, err := s.fleet.forward(r.Context(), owner, "/v1/compare", body); err == nil {
-						relayResponse(w, status, data)
-						return
-					}
-					s.fleet.fallbackBuild()
-				case fleetUnreachable:
-					s.fleet.fallbackBuild()
-				}
-			} else {
-				s.fleet.ownerHit()
-			}
-		}
 	}
 
 	// The paper's bounds argue about the base objective only; computed
@@ -499,19 +491,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Optimal {
-		// A warm DP table covering this network answers in constant time
-		// (Theorem 2's closing remark); a table persisted to -table-dir
-		// (e.g. before a restart) is loaded without refilling any DP;
-		// otherwise fall back to a one-off DP solve — single-flighted and
-		// result-cached, so N concurrent cold compares of one network run
-		// one DP, not N, and never more than the build bound at once.
-		if fleetOpt != nil {
-			resp.Optimal = fleetOpt
-		} else if opt, ok := s.tables.lookupSetAny(canon); ok {
-			resp.Optimal = &opt
-		} else if opt, err := s.tables.optimalRT(canon); err == nil {
-			resp.Optimal = &opt
-		}
+		resp.Optimal = s.compareOptimal(r, canon, req.Set)
 	}
 	if bd != nil {
 		resp.LowerBound = bd.lower
@@ -520,10 +500,36 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// compareOptimal answers /v1/compare's exact optimum in constant time
+// from a table (Theorem 2's closing remark): any cached or spilled table
+// covering the set, else the set's own network table, resolved (fetched
+// from its fleet owner, or built) like a /v1/table request for raw. It
+// is nil when no table can be had: the state space is over the DP's
+// guard, or the fleet owner refused.
+func (s *Server) compareOptimal(r *http.Request, canon *model.MulticastSet, raw json.RawMessage) *int64 {
+	if opt, ok := s.tables.lookupSetAny(canon); ok {
+		return &opt
+	}
+	inst, err := exact.Analyze(canon)
+	if err != nil {
+		return nil
+	}
+	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
+	t, _, _, _, err := s.resolveTable(r, inst, key, s.tableWorkers, TableRequest{Set: raw})
+	if err != nil {
+		return nil
+	}
+	defer t.Release()
+	opt, err := t.Lookup(inst.SourceType, inst.Counts)
+	if err != nil {
+		return nil
+	}
+	return &opt
+}
+
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	var req RenderRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Algo == "" {
@@ -577,8 +583,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweepStart(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	job, err := s.jobs.start(req)

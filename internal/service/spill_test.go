@@ -40,7 +40,7 @@ func fillSpillDir(t testing.TB, dir string, n int) []*model.MulticastSet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, _, _, _, err := c.getOrBuild(inst, 1)
+		tab, _, _, err := c.getOrBuild(inst, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestFlatSpillMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round, wantSource := range []string{TableCacheMiss, TableCacheHit} {
-		tab, _, source, _, err := c.getOrBuild(inst, 1)
+		tab, source, _, err := c.getOrBuild(inst, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -31,11 +30,6 @@ var (
 	// the Go heap. Both count toward the one TableMemBytes budget.
 	expTableMappedBytes = expvar.NewInt("hnowd.table.mapped_bytes")
 	expTableHeapBytes   = expvar.NewInt("hnowd.table.heap_bytes")
-	// expOptSolves / expOptHits count /v1/compare's optimal-RT fallback:
-	// one-off DP solves actually run vs. answers served from the scalar
-	// result cache.
-	expOptSolves = expvar.NewInt("hnowd.table.opt_solves")
-	expOptHits   = expvar.NewInt("hnowd.table.opt_hits")
 )
 
 // Table source labels reported in TableResponse.Cache.
@@ -121,23 +115,21 @@ func networkKey(latency int64, types []exact.Type, counts []int) string {
 	return b.String()
 }
 
-// maxConcurrentTableBuilds bounds the DP fills in flight across keys —
-// full table builds and /v1/compare's one-off optimal solves alike. A
-// fill allocates 8·(k+1) bytes per stored state (exact.New: the value
-// plane, the pivot prefix minima and k−1 cascade planes; the last two are
-// freed when the fill ends), and a network may store up to
-// exact.MaxStates = 2^26 states: 1.5 GiB for k=2, 2 GiB for k=3 and
-// 2.5 GiB for k=4 per fill, plus 4 bytes per count vector of layer order.
-// So the memory risk is per-build, not per-entry: distinct networks build
-// concurrently up to this cap and queue beyond it.
+// maxConcurrentTableBuilds bounds the DP fills in flight across keys:
+// every table build (for /v1/table, the fleet build-and-stream, and the
+// "optimal" answers of /v1/compare, /v1/schedule and /v1/render) and
+// every sweep trial of the exact solver. A fill allocates 8·(k+1) bytes
+// per stored state (exact.New: the value plane, the pivot prefix minima
+// and k−1 cascade planes; the last two are freed when the fill ends),
+// and a network may store up to exact.MaxStates = 2^26 states: 1.5 GiB
+// for k=2, 2 GiB for k=3 and 2.5 GiB for k=4 per fill, plus 4 bytes per
+// count vector of layer order. So the memory risk is per-build, not
+// per-entry: distinct networks build concurrently up to this cap and
+// queue beyond it.
 const maxConcurrentTableBuilds = 2
 
 // defaultTableMemBytes is the default byte budget for cached tables.
 const defaultTableMemBytes = int64(1) << 30
-
-// optResultCap bounds the scalar optimal-RT result cache (key + int64
-// per entry, so even the cap is only a few hundred KiB).
-const optResultCap = 4096
 
 // tableCache holds materialized DP tables under a byte budget (tables
 // are orders of magnitude bigger than plans, so the budget usually
@@ -157,20 +149,10 @@ type tableCache struct {
 	buildSem chan struct{}
 	index    *spillIndex // nil when dir == ""
 
-	// builds / optSolves are this cache's own counters (the expvars
-	// aggregate across every cache in the process): DP table fills run
-	// and one-off cold optimal solves run. Fleet tests and hnowload read
-	// them per replica to prove single fleet-wide builds.
-	builds    atomic.Int64
-	optSolves atomic.Int64
-
-	// optimal-RT fallback: single-flight plus a bounded scalar cache, so
-	// N concurrent cold compares of one network run one DP, and repeats
-	// don't re-run it at all.
-	optMu     sync.Mutex
-	optFlight map[string]*optFlight
-	opt       map[string]int64
-	optOrder  []string // insertion order, for bounded eviction
+	// builds is this cache's own count of DP table fills (the expvar
+	// aggregates across every cache in the process). Fleet tests and
+	// hnowload read it per replica to prove single fleet-wide builds.
+	builds atomic.Int64
 }
 
 type tableEntry struct {
@@ -189,23 +171,15 @@ type tableFlight struct {
 	err  error
 }
 
-type optFlight struct {
-	done chan struct{}
-	rt   int64
-	err  error
-}
-
 func newTableCache(maxBytes int64, dir string) *tableCache {
 	if maxBytes <= 0 {
 		maxBytes = defaultTableMemBytes
 	}
 	c := &tableCache{
-		maxBytes:  maxBytes,
-		dir:       dir,
-		inflight:  make(map[string]*tableFlight),
-		buildSem:  make(chan struct{}, maxConcurrentTableBuilds),
-		optFlight: make(map[string]*optFlight),
-		opt:       make(map[string]int64),
+		maxBytes: maxBytes,
+		dir:      dir,
+		inflight: make(map[string]*tableFlight),
+		buildSem: make(chan struct{}, maxConcurrentTableBuilds),
 	}
 	if dir != "" {
 		// Best effort: a failed mkdir surfaces as disk_errors on first use.
@@ -516,17 +490,17 @@ func (c *tableCache) lookupSetAny(set *model.MulticastSet) (int64, bool) {
 
 // getOrBuild resolves the table for the analyzed instance, building it
 // (with the given fill parallelism) when neither memory nor the spill
-// has it. Builds share the build semaphore with optimalRT's solves; the
-// reported build time is the fill alone, from holding the semaphore
-// until the DP returns (caching and spilling excluded). The returned
-// source is one of TableCacheHit, TableCacheDisk or TableCacheMiss; the
-// table is borrowed and must be Released by the caller.
+// has it. It is the one place hnowd fills a DP table, and every fill
+// holds the build semaphore. The reported build time is the fill alone,
+// from holding the semaphore until the DP returns (caching and spilling
+// excluded); it is 0 unless this call filled. The returned source is
+// one of TableCacheHit, TableCacheDisk or TableCacheMiss; the table is
+// borrowed and must be Released by the caller.
 //
 //hnow:borrows
-func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table, string, string, time.Duration, error) {
-	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
+func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table, string, time.Duration, error) {
 	var buildTime time.Duration
-	t, source, err := c.resolve(key, func() (*exact.Table, string, error) {
+	t, source, err := c.resolve(networkKey(inst.Set.Latency, inst.Types, inst.Counts), func() (*exact.Table, string, error) {
 		c.buildSem <- struct{}{} // bound concurrent distinct-network builds
 		start := time.Now()
 		t, err := exact.BuildTableParallel(inst.Set, workers)
@@ -539,83 +513,7 @@ func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table
 		c.builds.Add(1)
 		return t, TableCacheMiss, nil
 	})
-	if err != nil {
-		return nil, key, TableCacheMiss, 0, err
-	}
-	return t, key, source, buildTime, nil // buildTime is 0 unless this call filled
-}
-
-// optimalRT is /v1/compare's exact-optimum fallback when no table covers
-// the set: a one-off DP solve, single-flighted per (network, source) so N
-// concurrent cold compares run one DP instead of N, bounded by the same
-// build semaphore as full table fills, with the scalar result kept in a
-// small cache so repeats skip the solve entirely.
-func (c *tableCache) optimalRT(canon *model.MulticastSet) (int64, error) {
-	inst, err := exact.Analyze(canon)
-	if err != nil {
-		return 0, err
-	}
-	// The table networkKey covers every source type; a scalar result is
-	// one source's optimum, so the key pins the source type too.
-	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts) + "|s=" + strconv.Itoa(inst.SourceType)
-	c.optMu.Lock()
-	if rt, ok := c.opt[key]; ok {
-		c.optMu.Unlock()
-		expOptHits.Add(1)
-		return rt, nil
-	}
-	if fl, ok := c.optFlight[key]; ok {
-		c.optMu.Unlock()
-		<-fl.done
-		return fl.rt, fl.err // the cohort shares one DP solve (or its failure)
-	}
-	fl := &optFlight{done: make(chan struct{})}
-	c.optFlight[key] = fl
-	c.optMu.Unlock()
-
-	c.buildSem <- struct{}{} // one-off DP solves share the build bound
-	rt, err := exact.OptimalRT(canon)
-	<-c.buildSem
-	expOptSolves.Add(1)
-	c.optSolves.Add(1)
-
-	c.optMu.Lock()
-	if err == nil {
-		if len(c.opt) >= optResultCap {
-			oldest := c.optOrder[0]
-			c.optOrder = c.optOrder[1:]
-			delete(c.opt, oldest)
-		}
-		c.opt[key] = rt
-		c.optOrder = append(c.optOrder, key)
-	}
-	delete(c.optFlight, key)
-	c.optMu.Unlock()
-	fl.rt, fl.err = rt, err
-	close(fl.done)
-	return rt, err
-}
-
-// writeTableResponse renders the common /v1/table reply for a borrowed
-// table (the caller still holds the borrow for the duration of the call).
-func (s *Server) writeTableResponse(w http.ResponseWriter, table *exact.Table, inst *exact.Instance, key, source string, buildTime time.Duration, fleetRole string) {
-	opt, err := table.Lookup(inst.SourceType, inst.Counts)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TableResponse{
-		Key:         key,
-		Cache:       source,
-		K:           table.K(),
-		States:      table.States(),
-		Counts:      table.Counts(),
-		OptimalRT:   opt,
-		BuildMillis: buildTime.Milliseconds(),
-		Mapped:      table.Mapped(),
-		SizeBytes:   table.SizeBytes(),
-		Fleet:       fleetRole,
-	})
+	return t, source, buildTime, err
 }
 
 // decodeTableRequest reads a /v1/table body (also the body of a fleet
@@ -623,8 +521,7 @@ func (s *Server) writeTableResponse(w http.ResponseWriter, table *exact.Table, i
 // the instance's network key and the fill parallelism, defaulted to the
 // server's. On failure it has written the 400 or 422 and ok is false.
 func (s *Server) decodeTableRequest(w http.ResponseWriter, r *http.Request) (req TableRequest, inst *exact.Instance, key string, workers int, ok bool) {
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return req, nil, "", 0, false
 	}
 	set, err := decodeSet(req.Set)
@@ -649,29 +546,34 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fleetRole := ""
-	if s.fleetEnabled() && !fleetForwarded(r) {
-		// The ring is consulted only after the local cache: a replica
-		// that already holds the table (e.g. the key's previous owner
-		// after a membership change) keeps serving it until evicted.
-		if t, ok := s.tables.get(key); ok {
-			defer t.Release()
-			expTableHits.Add(1)
-			s.writeTableResponse(w, t, inst, key, TableCacheHit, 0, "")
-			return
-		}
-		if owner, self := s.fleet.route(key); !self {
-			s.serveFleetTable(w, r, owner, key, inst, workers, req)
-			return
-		}
-		s.fleet.ownerHit()
-		fleetRole = FleetRoleOwner
-	}
-	table, key, source, buildTime, err := s.tables.getOrBuild(inst, workers)
+	table, source, role, buildTime, err := s.resolveTable(r, inst, key, workers, req)
 	if err != nil {
+		var rej *peerRejectedError
+		if errors.As(err, &rej) {
+			// The owner understood the request and refused (e.g. state
+			// space over the build guard): relay the refusal.
+			writeError(w, rej.Status, errors.New(rej.Msg))
+			return
+		}
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	defer table.Release()
-	s.writeTableResponse(w, table, inst, key, source, buildTime, fleetRole)
+	opt, err := table.Lookup(inst.SourceType, inst.Counts)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, TableResponse{
+		Key:         key,
+		Cache:       source,
+		K:           table.K(),
+		States:      table.States(),
+		Counts:      table.Counts(),
+		OptimalRT:   opt,
+		BuildMillis: buildTime.Milliseconds(),
+		Mapped:      table.Mapped(),
+		SizeBytes:   table.SizeBytes(),
+		Fleet:       role,
+	})
 }

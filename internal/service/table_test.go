@@ -195,7 +195,7 @@ func TestTableConcurrentWarmBuildsOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tab, _, source, _, err := c.getOrBuild(inst, 2)
+			tab, source, _, err := c.getOrBuild(inst, 2)
 			if err != nil {
 				t.Error(err)
 				return
@@ -430,16 +430,15 @@ func TestTableDirIgnoresCorruptSpill(t *testing.T) {
 
 // TestCompareOptimalColdSingleFlight: with no warm table covering the
 // network, concurrent /v1/compare {optimal:true} requests for the same
-// instance must run ONE DP solve, not one per request — and a repeat is
-// served from the scalar result cache without any solve.
+// instance must build ONE table, not one per request, and a repeat is
+// answered from that table without any build.
 func TestCompareOptimalColdSingleFlight(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	svc, ts := newTestServer(t, Config{})
 	set := tableTestSet(t)
 	want, err := exact.OptimalRT(Canonicalize(set))
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvesBefore := expOptSolves.Value()
 	const concurrent = 8
 	var wg sync.WaitGroup
 	optima := make([]int64, concurrent)
@@ -465,8 +464,8 @@ func TestCompareOptimalColdSingleFlight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := expOptSolves.Value() - solvesBefore; got != 1 {
-		t.Errorf("%d concurrent cold compares ran %d DP solves, want 1", concurrent, got)
+	if got := svc.TableBuilds(); got != 1 {
+		t.Errorf("%d concurrent cold compares ran %d table builds, want 1", concurrent, got)
 	}
 	for i, got := range optima {
 		if got != want {
@@ -474,18 +473,17 @@ func TestCompareOptimalColdSingleFlight(t *testing.T) {
 		}
 	}
 
-	// A later compare of the same instance is a scalar-cache hit: no solve.
-	solvesBefore = expOptSolves.Value()
-	hitsBefore := expOptHits.Value()
+	// A later compare of the same instance is a table hit: no build.
+	hitsBefore := expTableHits.Value()
 	resp, body := post(t, ts.URL+"/v1/compare", CompareRequest{Set: rawSet(t, set), Optimal: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat compare: HTTP %d: %s", resp.StatusCode, body)
 	}
-	if got := expOptSolves.Value() - solvesBefore; got != 0 {
-		t.Errorf("repeat compare ran %d DP solves, want 0", got)
+	if got := svc.TableBuilds(); got != 1 {
+		t.Errorf("repeat compare built again: %d builds, want 1", got)
 	}
-	if got := expOptHits.Value() - hitsBefore; got != 1 {
-		t.Errorf("repeat compare moved opt hits by %d, want 1", got)
+	if expTableHits.Value() == hitsBefore {
+		t.Error("repeat compare was not counted as a table hit")
 	}
 }
 
@@ -567,7 +565,7 @@ func TestLoadFailureSharedWithCohort(t *testing.T) {
 		{"waiter with a miss retries a negative spill probe", false, func(t *testing.T, c *tableCache) {
 			var source string
 			build := func() error {
-				tab, _, src, _, err := c.getOrBuild(inst, 1)
+				tab, src, _, err := c.getOrBuild(inst, 1)
 				if err == nil {
 					tab.Release()
 				}
@@ -606,7 +604,7 @@ func TestLoadFailureSharedWithCohort(t *testing.T) {
 // payload byte of the file.
 func corruptSpill(t *testing.T, dir string, inst *exact.Instance) {
 	t.Helper()
-	tab, _, _, _, err := newTableCache(0, dir).getOrBuild(inst, 1)
+	tab, _, _, err := newTableCache(0, dir).getOrBuild(inst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
