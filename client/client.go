@@ -166,12 +166,13 @@ func (c *Client) CompareWith(ctx context.Context, req service.CompareRequest) (*
 // for the set's network, after which exact optima for any multicast drawn
 // from the network are constant-time lookups. parallelism caps the fill
 // workers (0 = server default). The response's Cache field reports where
-// the table came from — "hit" (in memory), "miss" (built now), or "disk"
+// the table came from — "hit" (in memory), "miss" (built now), "disk"
 // (reloaded from the server's -table-dir spill, e.g. after a restart; see
-// TableResponse.FromDisk) — and its Mapped/SizeBytes fields report how
-// the table is held server-side: SizeBytes is its cost against the
-// server's table memory budget, and Mapped is true when the arrays alias
-// a read-only mmap of the spill file rather than heap.
+// TableResponse.FromDisk) or "peer" (fetched from its fleet owner) — and
+// its Mapped/SizeBytes fields report how the table is held server-side:
+// SizeBytes is its cost against the server's table memory budget, and
+// Mapped is true when the arrays alias a read-only mmap of the spill
+// file rather than heap.
 func (c *Client) WarmTable(ctx context.Context, set *model.MulticastSet, parallelism int) (*service.TableResponse, error) {
 	raw, err := encodeSet(set)
 	if err != nil {

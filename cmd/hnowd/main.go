@@ -15,7 +15,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/schedule     compute (or fetch) one plan
+//	POST /v1/schedule     compute (or reuse) one plan
 //	POST /v1/compare      every scheduler on one instance
 //	POST /v1/render       tree/gantt/dot/svg/json rendering
 //	POST /v1/table        warm the network's optimal DP table

@@ -368,7 +368,6 @@ func driveInProcess(size int, cfg benchConfig, pop *population) (runResult, erro
 		st := s.FleetStats()
 		fs.OwnerHits += st.OwnerHits
 		fs.PeerFetches += st.PeerFetches
-		fs.Forwards += st.Forwards
 		fs.FallbackBuilds += st.FallbackBuilds
 		fs.PeerErrors += st.PeerErrors
 	}
@@ -392,7 +391,6 @@ func driveExternal(urls []string, cfg benchConfig, pop *population) (runResult, 
 	fs := service.FleetStats{
 		OwnerHits:      delta("hnowd.fleet.owner_hits"),
 		PeerFetches:    delta("hnowd.fleet.peer_fetches"),
-		Forwards:       delta("hnowd.fleet.forwards"),
 		FallbackBuilds: delta("hnowd.fleet.fallback_builds"),
 		PeerErrors:     delta("hnowd.fleet.peer_errors"),
 	}
@@ -480,8 +478,8 @@ func smokeCheck(runs []runResult, cfg benchConfig, maxDup int64) error {
 			if r.DupBuilds > maxDup {
 				return fmt.Errorf("%s: %d duplicate builds (max %d)", r.Name, r.DupBuilds, maxDup)
 			}
-			if r.Fleet.OwnerHits+r.Fleet.PeerFetches+r.Fleet.Forwards == 0 {
-				return fmt.Errorf("%s: no fleet traffic at all (owner_hits+peer_fetches+forwards = 0)", r.Name)
+			if r.Fleet.OwnerHits+r.Fleet.PeerFetches == 0 {
+				return fmt.Errorf("%s: no fleet traffic at all (owner_hits+peer_fetches = 0)", r.Name)
 			}
 			if cfg.Route == "spray" && r.Fleet.PeerFetches == 0 {
 				return fmt.Errorf("%s: spray routing produced no peer-to-peer table fetches", r.Name)

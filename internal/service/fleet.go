@@ -5,12 +5,16 @@ package service
 // A static peer list (Config.Peers / hnowd -peers, with Config.Self the
 // advertised address of this replica) forms a rendezvous-hash ring over
 // the canonical network keys: every network has exactly one owner
-// replica, which is the only replica that runs its DP fill. The request
-// paths consult the ring:
+// replica, which is the only replica that runs its DP fill. Only tables
+// cross the fleet: every exact answer resolves its network's table
+// through Server.resolveTable, and heuristic plans are computed where
+// they are asked for.
 //
-//   - /v1/table on a non-owner first serves any locally cached or spilled
-//     copy, then cache-fills: it asks the owner to build-and-stream the
-//     raw .hnowtbl bytes (POST /v1/fleet/table/{key}), re-validates them
+//   - /v1/table, and the "optimal" answers of /v1/compare (when no cached
+//     or spilled table covers the set), /v1/schedule and /v1/render, on a
+//     non-owner first serve any locally cached or spilled copy, then
+//     cache-fill: the replica asks the owner to build-and-stream the raw
+//     .hnowtbl bytes (POST /v1/fleet/table/{key}), re-validates them
 //     through the exact store's checksum, version and value-bound checks
 //     (peers are untrusted by construction: a corrupt, truncated or
 //     older-format body is rejected with exact.ErrBadTable and counted in
@@ -18,12 +22,7 @@ package service
 //     and inserts the table into its own byte-budgeted LRU and spill dir
 //     — single-flighted per key by tableCache.resolve, the one path the
 //     local load and build go through too.
-//   - /v1/compare with "optimal" takes the same path as /v1/table
-//     (Server.resolveTable) when no cached or spilled table covers the
-//     set, and looks the optimum up in the resolved table.
-//   - /v1/schedule on a plan-cache miss forwards to the owner and
-//     inserts the returned plan into the local cache, so repeats are
-//     served locally.
+//   - The owner serves the key from its own cache, spill or fill.
 //
 // Every peer interaction is bounded: per-request timeouts, one retry for
 // transport-level failures, and a per-peer circuit breaker. When the
@@ -50,12 +49,12 @@ import (
 	"repro/internal/exact"
 	"repro/internal/fleet"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 var (
 	expFleetOwnerHits      = expvar.NewInt("hnowd.fleet.owner_hits")
 	expFleetPeerFetches    = expvar.NewInt("hnowd.fleet.peer_fetches")
-	expFleetForwards       = expvar.NewInt("hnowd.fleet.forwards")
 	expFleetFallbackBuilds = expvar.NewInt("hnowd.fleet.fallback_builds")
 	expFleetPeerErrors     = expvar.NewInt("hnowd.fleet.peer_errors")
 )
@@ -73,24 +72,19 @@ const (
 	FleetRoleFallback = "fallback"
 )
 
-// fleetForwardHeader marks a request relayed by a fleet peer, so the
-// receiving replica serves it locally instead of re-forwarding (loop
-// prevention even under membership disagreement).
-const fleetForwardHeader = "X-Hnowd-Fleet-Forwarded"
-
 // FleetStats is a per-server snapshot of the fleet counters (the
 // process-wide aggregates surface as hnowd.fleet.* expvars).
 type FleetStats struct {
-	// OwnerHits counts requests this replica served for keys it owns.
+	// OwnerHits counts table resolves (a /v1/table warm or an exact
+	// answer) this replica served for keys it owns.
 	OwnerHits int64 `json:"owner_hits"`
 	// PeerFetches counts tables successfully fetched from the owner and
 	// ingested (full checksum and value-bound validation) into the local
 	// cache.
 	PeerFetches int64 `json:"peer_fetches"`
-	// Forwards counts whole client requests relayed to the owner.
-	Forwards int64 `json:"forwards"`
-	// FallbackBuilds counts requests served by local computation because
-	// the owner was unreachable or its table bytes failed validation.
+	// FallbackBuilds counts table resolves served by a local build
+	// because the owner was unreachable or its table bytes failed
+	// validation.
 	FallbackBuilds int64 `json:"fallback_builds"`
 	// PeerErrors counts failed peer interactions: transport errors after
 	// retries, unexpected statuses, and corrupt/truncated table bytes.
@@ -101,7 +95,7 @@ type FleetStats struct {
 // per-peer breakers and the HTTP client used for peer traffic.
 type fleetState struct {
 	self         string
-	buildTimeout time.Duration // build-and-stream and forwarded requests (DP fills take minutes)
+	buildTimeout time.Duration // build-and-stream requests (DP fills take minutes)
 	retries      int
 	brkThreshold int
 	brkCooldown  time.Duration
@@ -111,7 +105,7 @@ type fleetState struct {
 	ring     *fleet.Ring
 	breakers map[string]*fleet.Breaker
 
-	ownerHits, peerFetches, forwards, fallbackBuilds, peerErrors atomic.Int64
+	ownerHits, peerFetches, fallbackBuilds, peerErrors atomic.Int64
 }
 
 const (
@@ -181,7 +175,6 @@ func (f *fleetState) breakerFor(addr string) *fleet.Breaker {
 
 func (f *fleetState) ownerHit()      { f.ownerHits.Add(1); expFleetOwnerHits.Add(1) }
 func (f *fleetState) peerFetch()     { f.peerFetches.Add(1); expFleetPeerFetches.Add(1) }
-func (f *fleetState) forwarded()     { f.forwards.Add(1); expFleetForwards.Add(1) }
 func (f *fleetState) fallbackBuild() { f.fallbackBuilds.Add(1); expFleetFallbackBuilds.Add(1) }
 func (f *fleetState) peerError()     { f.peerErrors.Add(1); expFleetPeerErrors.Add(1) }
 
@@ -279,40 +272,8 @@ func (f *fleetState) buildFetchBytes(ctx context.Context, owner, key string, bod
 	return data, err
 }
 
-// forward relays a whole client request to the owner (marked with the
-// forward header so it is served there) and returns the owner's status
-// and body verbatim.
-func (f *fleetState) forward(ctx context.Context, owner, path string, body []byte) (status int, data []byte, err error) {
-	err = f.doPeer(owner, func() error {
-		ctx, cancel := context.WithTimeout(ctx, f.buildTimeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(fleetForwardHeader, "1")
-		resp, err := f.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		data, err = io.ReadAll(resp.Body)
-		status = resp.StatusCode
-		return err
-	})
-	if err == nil {
-		f.forwarded()
-	}
-	return status, data, err
-}
-
 // fleetEnabled reports whether this server runs in fleet mode.
 func (s *Server) fleetEnabled() bool { return s.fleet != nil }
-
-// fleetForwarded reports whether the request was relayed by a peer and
-// must be served locally.
-func fleetForwarded(r *http.Request) bool { return r.Header.Get(fleetForwardHeader) != "" }
 
 // NetworkKey returns the canonical network key of a set: latency plus the
 // sorted (send, recv) type inventory with per-type destination counts —
@@ -320,15 +281,6 @@ func fleetForwarded(r *http.Request) bool { return r.Header.Get(fleetForwardHead
 // hash this key through fleet.Ring to pick the replica to talk to.
 func NetworkKey(set *model.MulticastSet) (string, error) {
 	inst, err := exact.Analyze(Canonicalize(set))
-	if err != nil {
-		return "", err
-	}
-	return networkKey(inst.Set.Latency, inst.Types, inst.Counts), nil
-}
-
-// fleetKeyOf is NetworkKey for an already-canonical set.
-func fleetKeyOf(canon *model.MulticastSet) (string, error) {
-	inst, err := exact.Analyze(canon)
 	if err != nil {
 		return "", err
 	}
@@ -364,7 +316,6 @@ func (s *Server) FleetStats() FleetStats {
 	return FleetStats{
 		OwnerHits:      s.fleet.ownerHits.Load(),
 		PeerFetches:    s.fleet.peerFetches.Load(),
-		Forwards:       s.fleet.forwards.Load(),
 		FallbackBuilds: s.fleet.fallbackBuilds.Load(),
 		PeerErrors:     s.fleet.peerErrors.Load(),
 	}
@@ -402,7 +353,7 @@ func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("fleet mode disabled"))
 		return
 	}
-	_, inst, got, workers, ok := s.decodeTableRequest(w, r)
+	req, inst, got, ok := decodeTableRequest(w, r)
 	if !ok {
 		return
 	}
@@ -411,7 +362,7 @@ func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("set resolves to key %q, path names %q", got, key))
 		return
 	}
-	t, _, _, err := s.tables.getOrBuild(inst, workers)
+	t, _, _, err := s.tables.getOrBuild(inst, s.fillWorkers(req.Parallelism))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -440,41 +391,42 @@ func (s *Server) validatePeerTable(owner, key string, data []byte) (*exact.Table
 }
 
 // resolveTable is the one path from a request to the exact-key table
-// for inst: outside fleet mode, or for a request a peer relayed, it is
-// getOrBuild. In fleet mode the local cache comes first, so a replica
-// that already holds the table (e.g. the key's previous owner after a
-// membership change) keeps serving it until evicted; then the ring. The
-// owner resolves locally; a non-owner runs a single-flighted
-// build-and-stream from the owner (req is the body it sends) with full
+// for inst; parallelism caps the fill workers (0 = the server default).
+// Outside fleet mode it is getOrBuild. In fleet mode the ring comes
+// first: the owner resolves locally (memory, spill or fill). A non-owner
+// resolves through the table cache too, so a table it already holds in
+// memory or its spill (e.g. the key's previous owner after a membership
+// change) keeps serving until evicted; only a miss runs a
+// single-flighted build-and-stream from the owner with full
 // re-validation, and only if the owner is unreachable or served garbage
 // a local fallback build. A refusal from the owner is returned as a
 // *peerRejectedError: a local build would fail the same way. On success
 // the table is borrowed (the caller must Release it); role is the
-// request's fleet role, "" outside fleet mode and for local hits, and
-// buildTime is 0 unless this call filled the table.
+// request's fleet role, "" outside fleet mode and for non-owner local
+// hits, and buildTime is 0 unless this call filled the table.
 //
 //hnow:borrows
-func (s *Server) resolveTable(r *http.Request, inst *exact.Instance, key string, workers int, req TableRequest) (t *exact.Table, source, role string, buildTime time.Duration, err error) {
-	if !s.fleetEnabled() || fleetForwarded(r) {
-		t, source, buildTime, err = s.tables.getOrBuild(inst, workers)
+func (s *Server) resolveTable(ctx context.Context, inst *exact.Instance, key string, parallelism int) (t *exact.Table, source, role string, buildTime time.Duration, err error) {
+	if !s.fleetEnabled() {
+		t, source, buildTime, err = s.tables.getOrBuild(inst, s.fillWorkers(parallelism))
 		return t, source, "", buildTime, err
-	}
-	if t, ok := s.tables.get(key); ok {
-		expTableHits.Add(1)
-		return t, TableCacheHit, "", 0, nil
 	}
 	owner, self := s.fleet.route(key)
 	if self {
 		s.fleet.ownerHit()
-		t, source, buildTime, err = s.tables.getOrBuild(inst, workers)
+		t, source, buildTime, err = s.tables.getOrBuild(inst, s.fillWorkers(parallelism))
 		return t, source, FleetRoleOwner, buildTime, err
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, "", "", 0, err
-	}
 	fetch := func() (*exact.Table, string, error) {
-		data, err := s.fleet.buildFetchBytes(r.Context(), owner, key, body)
+		set, err := trace.MarshalSetJSON(inst.Set)
+		if err != nil {
+			return nil, "", err
+		}
+		body, err := json.Marshal(TableRequest{Set: set, Parallelism: parallelism})
+		if err != nil {
+			return nil, "", err
+		}
+		data, err := s.fleet.buildFetchBytes(ctx, owner, key, body)
 		if err != nil {
 			return nil, "", err
 		}
@@ -496,13 +448,6 @@ func (s *Server) resolveTable(r *http.Request, inst *exact.Instance, key string,
 	// Owner unreachable or its bytes invalid: degrade to a local build so
 	// the fleet never fails a request that a single daemon could serve.
 	s.fleet.fallbackBuild()
-	t, source, buildTime, err = s.tables.getOrBuild(inst, workers)
+	t, source, buildTime, err = s.tables.getOrBuild(inst, s.fillWorkers(parallelism))
 	return t, source, FleetRoleFallback, buildTime, err
-}
-
-// relayResponse writes a forwarded peer response verbatim.
-func relayResponse(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/fleet"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // testFleet is an in-process multi-replica cluster: every replica is a
@@ -158,16 +160,24 @@ func TestFleetSingleBuildPerKey(t *testing.T) {
 			}
 		}
 	}
-	if st := f.svcs[owner].FleetStats(); st.OwnerHits == 0 {
-		t.Errorf("owner recorded no owner hits: %+v", st)
+	ownerHits := f.svcs[owner].FleetStats().OwnerHits
+	if ownerHits == 0 {
+		t.Errorf("owner recorded no owner hits")
 	}
 
-	// Second round: every replica now serves from its own cache.
+	// Second round: every replica now serves from its own cache, and a
+	// memory hit on the owner still reports (and counts) its role.
 	for i := range f.urls {
 		got := warmTable(t, f.urls[i], set)
 		if got.Cache != TableCacheHit {
 			t.Errorf("replica %d second warm: cache=%q, want hit", i, got.Cache)
 		}
+		if i == owner && got.Fleet != FleetRoleOwner {
+			t.Errorf("owner second warm: fleet=%q, want owner", got.Fleet)
+		}
+	}
+	if st := f.svcs[owner].FleetStats(); st.OwnerHits != ownerHits+1 {
+		t.Errorf("owner hits %d after a second warm on the owner, want %d", st.OwnerHits, ownerHits+1)
 	}
 	if total := f.totalBuilds(); total != 1 {
 		t.Errorf("second round added builds: %d total", total)
@@ -436,8 +446,8 @@ func TestFleetCompareConsultsRing(t *testing.T) {
 	if n := f.svcs[other].TableBuilds(); n != 0 {
 		t.Errorf("non-owner ran %d table builds, want 0", n)
 	}
-	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 || st.Forwards != 0 {
-		t.Errorf("non-owner stats = %+v, want 1 peer fetch and no forward", st)
+	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 {
+		t.Errorf("non-owner stats = %+v, want 1 peer fetch", st)
 	}
 
 	// The ingested table now serves the non-owner's repeats locally.
@@ -452,7 +462,7 @@ func TestFleetCompareConsultsRing(t *testing.T) {
 	if cr2.Optimal == nil || *cr2.Optimal != want {
 		t.Fatalf("repeat compare optimal = %v, want %d", cr2.Optimal, want)
 	}
-	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 || st.Forwards != 0 {
+	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 {
 		t.Errorf("repeat compare left stats %+v, want still 1 peer fetch", st)
 	}
 	if n := f.totalBuilds(); n != 1 {
@@ -460,43 +470,102 @@ func TestFleetCompareConsultsRing(t *testing.T) {
 	}
 }
 
-// TestFleetScheduleForwardAndCacheFill: a schedule miss on a non-owned
-// network is forwarded once, the plan is cached locally, and repeats are
-// served without another hop.
-func TestFleetScheduleForwardAndCacheFill(t *testing.T) {
+// TestFleetScheduleServedLocally: a heuristic plan is computed where it
+// is asked for. A schedule on a network another replica owns is a local
+// miss, then a local hit, and neither replica sees any peer traffic.
+func TestFleetScheduleServedLocally(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	set := fleetSet(t, 55)
+	other := 1 - f.ownerIndex(t, set)
+
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := post(t, f.urls[other]+"/v1/schedule", ScheduleRequest{Set: rawSet(t, set)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("schedule: HTTP %d: %s", resp.StatusCode, body)
+		}
+		var sr ScheduleResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Cache != want {
+			t.Errorf("schedule on non-owner: cache=%q, want %s", sr.Cache, want)
+		}
+	}
+	for i, s := range f.svcs {
+		if st := s.FleetStats(); st != (FleetStats{}) {
+			t.Errorf("replica %d fleet stats %+v, want no peer traffic", i, st)
+		}
+	}
+	if n := f.totalBuilds(); n != 0 {
+		t.Errorf("heuristic schedules ran %d table builds, want 0", n)
+	}
+}
+
+// TestFleetOptimalConsultsRing: an "optimal" schedule or render on a
+// non-owner resolves its table through the ring like /v1/table does: it
+// ingests the owner's table instead of filling its own, and falls back
+// to one local build only when the owner is down.
+func TestFleetOptimalConsultsRing(t *testing.T) {
+	f := startFleet(t, 2, nil)
+	set := fleetSet(t, 61)
 	owner := f.ownerIndex(t, set)
 	other := 1 - owner
 
-	resp, body := post(t, f.urls[other]+"/v1/schedule", ScheduleRequest{Set: rawSet(t, set)})
+	// Owner already warm: the render ingests its table.
+	warmTable(t, f.urls[owner], set)
+	resp, body := post(t, f.urls[other]+"/v1/render", RenderRequest{Algo: "optimal", Format: "json", Set: rawSet(t, set)})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("schedule: HTTP %d: %s", resp.StatusCode, body)
+		t.Fatalf("render: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var first ScheduleResponse
-	if err := json.Unmarshal(body, &first); err != nil {
-		t.Fatal(err)
+	if n := f.svcs[other].TableBuilds(); n != 0 {
+		t.Errorf("render on non-owner ran %d builds, want 0", n)
 	}
-	if first.Cache != "forward" {
-		t.Errorf("first schedule on non-owner: cache=%q, want forward", first.Cache)
-	}
-	if st := f.svcs[other].FleetStats(); st.Forwards != 1 {
-		t.Errorf("stats = %+v, want 1 forward", st)
+	if st := f.svcs[other].FleetStats(); st.PeerFetches != 1 {
+		t.Errorf("render on non-owner: stats %+v, want 1 peer fetch", st)
 	}
 
-	resp, body = post(t, f.urls[other]+"/v1/schedule", ScheduleRequest{Set: rawSet(t, set)})
-	var second ScheduleResponse
-	if err := json.Unmarshal(body, &second); err != nil {
+	// Cold network: the owner builds it for the non-owner's schedule,
+	// and the tree is the canonical optimum.
+	var set2 *model.MulticastSet
+	for seed := int64(62); set2 == nil; seed++ {
+		if s := fleetSet(t, seed); f.ownerIndex(t, s) == owner {
+			set2 = s
+		}
+	}
+	ownerBuilds := f.svcs[owner].TableBuilds()
+	got := scheduleOptimal(t, f.urls[other], "optimal", set2)
+	if n := f.svcs[owner].TableBuilds() - ownerBuilds; n != 1 {
+		t.Errorf("owner ran %d builds for the cold schedule, want 1", n)
+	}
+	if n := f.svcs[other].TableBuilds(); n != 0 {
+		t.Errorf("schedule on non-owner ran %d builds, want 0", n)
+	}
+	sch, err := exact.Schedule(Canonicalize(set2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Cache != "hit" {
-		t.Errorf("repeat schedule: cache=%q, want local hit", second.Cache)
+	want, err := trace.MarshalTimes(sch, &model.Times{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if second.RT != first.RT || string(second.Schedule) != string(first.Schedule) {
-		t.Error("cached forwarded plan differs from the owner's plan")
+	if !bytes.Equal(got.Schedule, compactJSON(t, want)) {
+		t.Errorf("schedule differs from exact.Schedule:\n got %s\nwant %s", got.Schedule, want)
 	}
-	if st := f.svcs[other].FleetStats(); st.Forwards != 1 {
-		t.Errorf("repeat forwarded again: %+v", st)
+
+	// Owner down: the non-owner still answers, from one fallback build.
+	var set3 *model.MulticastSet
+	for seed := int64(100); set3 == nil; seed++ {
+		if s := fleetSet(t, seed); f.ownerIndex(t, s) == owner {
+			set3 = s
+		}
+	}
+	f.ts[owner].Close()
+	scheduleOptimal(t, f.urls[other], "optimal", set3)
+	if st := f.svcs[other].FleetStats(); st.FallbackBuilds != 1 {
+		t.Errorf("owner down: stats %+v, want 1 fallback build", st)
+	}
+	if n := f.svcs[other].TableBuilds(); n != 1 {
+		t.Errorf("owner down: non-owner ran %d builds, want 1", n)
 	}
 }
 

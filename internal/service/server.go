@@ -65,8 +65,8 @@ type Config struct {
 	// replica; see internal/service/fleet.go for the routing semantics.
 	Self  string
 	Peers []string
-	// FleetBuildTimeout bounds build-and-stream and forwarded requests,
-	// which may cover a DP fill (default 15m).
+	// FleetBuildTimeout bounds a build-and-stream request to a key's
+	// owner, which may cover a DP fill (default 15m).
 	FleetBuildTimeout time.Duration
 	// FleetRetries is how many extra attempts follow a transport-level
 	// peer failure (default 1; semantic refusals are never retried).
@@ -268,8 +268,9 @@ func decodeSet(raw json.RawMessage) (*model.MulticastSet, error) {
 // network (or vice versa). The paper's lower bounds argue about the base
 // objective only, so non-base plans report a trivial zero bound. A
 // non-nil bd supplies base-model bounds the caller already computed for
-// canon; nil computes them here on a miss.
-func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, rm resolvedModel, bd *baseBounds) (*Plan, string, bool, error) {
+// canon; nil computes them here on a miss. ctx bounds an exact answer's
+// table fetch from its fleet owner.
+func (s *Server) planModel(ctx context.Context, canon *model.MulticastSet, algo string, seed int64, rm resolvedModel, bd *baseBounds) (*Plan, string, bool, error) {
 	if !registry.Seeded(algo) {
 		seed = 0 // deterministic algorithms share one cache entry across seeds
 	}
@@ -283,7 +284,7 @@ func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, r
 	}
 	var sch *model.Schedule
 	if _, ok := sched.(exact.Solver); ok {
-		sch, err = s.optimalSchedule(canon)
+		sch, err = s.optimalSchedule(ctx, canon)
 	} else {
 		sch, err = sched.Schedule(canon)
 	}
@@ -315,15 +316,17 @@ func (s *Server) planModel(canon *model.MulticastSet, algo string, seed int64, r
 }
 
 // optimalSchedule rebuilds the exact optimum's canonical tree for canon
-// from its network's table, resolved (and built if need be) through the
-// table cache, so every fill holds the build semaphore and one network
-// is filled once however many requests ask for it.
-func (s *Server) optimalSchedule(canon *model.MulticastSet) (*model.Schedule, error) {
+// from its network's table, resolved like a /v1/table request (fetched
+// from its fleet owner, or built), so every fill holds the build
+// semaphore and one network is filled once however many requests ask
+// for it.
+func (s *Server) optimalSchedule(ctx context.Context, canon *model.MulticastSet) (*model.Schedule, error) {
 	inst, err := exact.Analyze(canon)
 	if err != nil {
 		return nil, err
 	}
-	t, _, _, err := s.tables.getOrBuild(inst, s.tableWorkers)
+	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
+	t, _, _, _, err := s.resolveTable(ctx, inst, key, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -366,10 +369,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.fleetEnabled() && !fleetForwarded(r) && s.fleetSchedule(w, r, canon, rm, req) {
-		return
-	}
-	p, key, hit, err := s.planModel(canon, req.Algo, req.Seed, rm, nil)
+	p, key, hit, err := s.planModel(r.Context(), canon, req.Algo, req.Seed, rm, nil)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -384,64 +384,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Theorem1:   theorem1(p.Bound),
 		Schedule:   p.ScheduleJSON,
 	})
-}
-
-// fleetSchedule handles /v1/schedule in fleet mode on a plan-cache miss
-// for a network owned by another replica: the request is forwarded to
-// the owner (so expensive seeded heuristics run once fleet-wide) and the
-// returned plan is inserted into the local cache, making repeats local.
-// It reports whether it wrote the response; false falls through to the
-// normal local path (local hit, self-owned key, or owner unreachable).
-func (s *Server) fleetSchedule(w http.ResponseWriter, r *http.Request, canon *model.MulticastSet, rm resolvedModel, req ScheduleRequest) bool {
-	seed := req.Seed
-	if !registry.Seeded(req.Algo) {
-		seed = 0
-	}
-	ck := KeyCanonicalModel(canon, req.Algo, seed, rm)
-	if _, ok := s.cache.Get(ck); ok {
-		return false // already cached here; serve locally
-	}
-	nkey, err := fleetKeyOf(canon)
-	if err != nil {
-		return false // invalid set: the local path reports the error
-	}
-	owner, self := s.fleet.route(nkey)
-	if self {
-		s.fleet.ownerHit()
-		return false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	status, data, err := s.fleet.forward(r.Context(), owner, "/v1/schedule", body)
-	if err != nil {
-		s.fleet.fallbackBuild() // owner unreachable: compute locally
-		return false
-	}
-	if status == http.StatusOK {
-		var resp ScheduleResponse
-		if json.Unmarshal(data, &resp) == nil && len(resp.Schedule) > 0 {
-			s.cache.Put(ck, &Plan{
-				Algo:         resp.Algo,
-				ScheduleJSON: resp.Schedule,
-				RT:           resp.RT,
-				DT:           resp.DT,
-				LowerBound:   resp.LowerBound,
-				Bound: bounds.Params{
-					AlphaMin: resp.Theorem1.AlphaMin,
-					AlphaMax: resp.Theorem1.AlphaMax,
-					Beta:     resp.Theorem1.Beta,
-					C:        resp.Theorem1.C,
-				},
-			})
-			resp.Cache = "forward"
-			writeJSON(w, status, resp)
-			return true
-		}
-	}
-	relayResponse(w, status, data)
-	return true
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -476,7 +418,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// after the join.
 	plans := make([]*Plan, len(scheds))
 	batch.ForEach(0, len(scheds), func(_, i int) {
-		if p, _, _, err := s.planModel(canon, scheds[i].Name(), req.Seed, rm, bd); err == nil {
+		if p, _, _, err := s.planModel(r.Context(), canon, scheds[i].Name(), req.Seed, rm, bd); err == nil {
 			plans[i] = p
 		}
 	})
@@ -491,7 +433,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Optimal {
-		resp.Optimal = s.compareOptimal(r, canon, req.Set)
+		resp.Optimal = s.compareOptimal(r.Context(), canon)
 	}
 	if bd != nil {
 		resp.LowerBound = bd.lower
@@ -503,10 +445,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 // compareOptimal answers /v1/compare's exact optimum in constant time
 // from a table (Theorem 2's closing remark): any cached or spilled table
 // covering the set, else the set's own network table, resolved (fetched
-// from its fleet owner, or built) like a /v1/table request for raw. It
-// is nil when no table can be had: the state space is over the DP's
-// guard, or the fleet owner refused.
-func (s *Server) compareOptimal(r *http.Request, canon *model.MulticastSet, raw json.RawMessage) *int64 {
+// from its fleet owner, or built) like a /v1/table request. It is nil
+// when no table can be had: the state space is over the DP's guard, or
+// the fleet owner refused.
+func (s *Server) compareOptimal(ctx context.Context, canon *model.MulticastSet) *int64 {
 	if opt, ok := s.tables.lookupSetAny(canon); ok {
 		return &opt
 	}
@@ -515,7 +457,7 @@ func (s *Server) compareOptimal(r *http.Request, canon *model.MulticastSet, raw 
 		return nil
 	}
 	key := networkKey(inst.Set.Latency, inst.Types, inst.Counts)
-	t, _, _, _, err := s.resolveTable(r, inst, key, s.tableWorkers, TableRequest{Set: raw})
+	t, _, _, _, err := s.resolveTable(ctx, inst, key, 0)
 	if err != nil {
 		return nil
 	}
@@ -548,7 +490,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("format %q draws base-model timings; model %q supports format \"json\" only", req.Format, rm.cm.Name()))
 		return
 	}
-	p, _, _, err := s.planModel(canon, req.Algo, req.Seed, rm, nil)
+	p, _, _, err := s.planModel(r.Context(), canon, req.Algo, req.Seed, rm, nil)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return

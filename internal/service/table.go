@@ -62,8 +62,9 @@ type TableResponse struct {
 	// Key is the network key the table is cached under.
 	Key string `json:"key"`
 	// Cache reports where the table came from: "hit" (already in
-	// memory), "miss" (built by this request), or "disk" (loaded from
-	// the -table-dir spill, e.g. after a daemon restart).
+	// memory), "miss" (built by this request), "disk" (loaded from the
+	// -table-dir spill, e.g. after a daemon restart) or "peer" (fetched
+	// from its fleet owner and ingested by this request).
 	Cache string `json:"cache"`
 	K     int    `json:"k"`
 	// States is the number of precomputed DP states.
@@ -284,16 +285,6 @@ func (c *tableCache) retainLocked(key string) (*exact.Table, bool) {
 		}
 	}
 	return nil, false
-}
-
-// get returns the cached table for key with a borrow taken (Release when
-// done), refreshing its recency.
-//
-//hnow:borrows
-func (c *tableCache) get(key string) (*exact.Table, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retainLocked(key)
 }
 
 // addBytesGauge tracks cached-table bytes by ownership (delta may be
@@ -517,36 +508,41 @@ func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table
 }
 
 // decodeTableRequest reads a /v1/table body (also the body of a fleet
-// build-and-stream POST): the request, its analyzed canonical instance,
-// the instance's network key and the fill parallelism, defaulted to the
-// server's. On failure it has written the 400 or 422 and ok is false.
-func (s *Server) decodeTableRequest(w http.ResponseWriter, r *http.Request) (req TableRequest, inst *exact.Instance, key string, workers int, ok bool) {
+// build-and-stream POST): the request, its analyzed canonical instance
+// and the instance's network key. On failure it has written the 400 or
+// 422 and ok is false.
+func decodeTableRequest(w http.ResponseWriter, r *http.Request) (req TableRequest, inst *exact.Instance, key string, ok bool) {
 	if !decodeRequest(w, r, &req) {
-		return req, nil, "", 0, false
+		return req, nil, "", false
 	}
 	set, err := decodeSet(req.Set)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return req, nil, "", 0, false
+		return req, nil, "", false
 	}
 	inst, err = exact.Analyze(Canonicalize(set))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
-		return req, nil, "", 0, false
+		return req, nil, "", false
 	}
-	workers = req.Parallelism
-	if workers <= 0 {
-		workers = s.tableWorkers
+	return req, inst, networkKey(inst.Set.Latency, inst.Types, inst.Counts), true
+}
+
+// fillWorkers is the fill parallelism of a request that asked for
+// parallelism workers, defaulted (0) to the server's.
+func (s *Server) fillWorkers(parallelism int) int {
+	if parallelism <= 0 {
+		return s.tableWorkers
 	}
-	return req, inst, networkKey(inst.Set.Latency, inst.Types, inst.Counts), workers, true
+	return parallelism
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	req, inst, key, workers, ok := s.decodeTableRequest(w, r)
+	req, inst, key, ok := decodeTableRequest(w, r)
 	if !ok {
 		return
 	}
-	table, source, role, buildTime, err := s.resolveTable(r, inst, key, workers, req)
+	table, source, role, buildTime, err := s.resolveTable(r.Context(), inst, key, req.Parallelism)
 	if err != nil {
 		var rej *peerRejectedError
 		if errors.As(err, &rej) {

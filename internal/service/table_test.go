@@ -135,11 +135,11 @@ func TestTableCacheByteBudgetEviction(t *testing.T) {
 	size := mk(9).SizeBytes()
 	c := newTableCache(2*size, "")
 	get := func(key string) bool {
-		tab, ok := c.get(key)
-		if ok {
+		tab, _, err := c.resolve(key, nil)
+		if err == nil {
 			tab.Release()
 		}
-		return ok
+		return err == nil
 	}
 	c.put("a", mk(1))
 	c.put("b", mk(2))
@@ -166,7 +166,7 @@ func TestTableCacheByteBudgetEviction(t *testing.T) {
 	// the newest entry never self-evicts.
 	tiny := newTableCache(1, "")
 	tiny.put("big", mk(4))
-	if tab, ok := tiny.get("big"); !ok {
+	if tab, _, err := tiny.resolve("big", nil); err != nil {
 		t.Error("oversized table not admitted")
 	} else {
 		tab.Release()
@@ -536,7 +536,7 @@ func TestLoadFailureSharedWithCohort(t *testing.T) {
 			if got := calls.Load(); got != 1 {
 				t.Errorf("miss ran %d times for the cohort, want 1", got)
 			}
-			if tab, ok := c.get(key); ok {
+			if tab, _, err := c.resolve(key, nil); err == nil {
 				tab.Release()
 				t.Error("a failed miss left a table in the cache")
 			}
