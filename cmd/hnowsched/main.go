@@ -75,9 +75,7 @@ func main() {
 		if set, err = trace.UnmarshalSetJSON(data); err != nil {
 			fail(err)
 		}
-		switch *modelName {
-		case "", "base":
-		case "wan":
+		if *modelName == "wan" {
 			if *latPath == "" {
 				fail(fmt.Errorf("-model wan needs -lat or -wan"))
 			}
@@ -86,17 +84,8 @@ func main() {
 				fail(err)
 			}
 			cm = &model.LinkModel{Lat: lat}
-		case "pipeline":
-			if *segments < 1 {
-				fail(fmt.Errorf("-model pipeline needs -segments >= 1"))
-			}
-			cm = &model.PipelineModel{Segments: *segments}
-		case "reduce":
-			cm = &model.ReduceModel{}
-		case "barrier":
-			cm = &model.BarrierModel{}
-		default:
-			fail(fmt.Errorf("unknown model %q (want base, wan, pipeline, reduce or barrier)", *modelName))
+		} else if cm, err = model.ByName(*modelName, *segments); err != nil {
+			fail(err)
 		}
 	}
 	if cm != nil {

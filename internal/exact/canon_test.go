@@ -13,8 +13,8 @@ import (
 // On the cascade tests' random networks (tied and typed palettes) and a
 // tables-shaped k=3, n=48 network, every way of producing the values —
 // the crossover fill, an exhaustive fill (no crossover search, no block
-// skip), a 2-worker parallel fill, a bounded exact.Schedule box query and
-// a WriteTo/ReadTableBytes round trip — must yield the identical tree.
+// skip), a 2-worker parallel fill, exact.Schedule and a
+// WriteTo/ReadTableBytes round trip — must yield the identical tree.
 // Every node's split must be the exhaustive argmin taken with strict
 // improvement in evalState's scan order (oracleSplit), and the engine
 // must score the tree at exactly the table value.
@@ -34,14 +34,13 @@ func TestCanonicalTree(t *testing.T) {
 			return dp
 		}
 		exhaustive := newDP()
-		exhaustive.monotonePivot.Store(false)
+		exhaustive.monotonePivot = false
 		exhaustive.noCascade = true
 		exhaustive.FillAll()
 		crossover := newDP()
 		crossover.FillAll()
 		parallel := newDP()
 		parallel.fillLayers(2) // FillAllParallel would clamp to GOMAXPROCS
-		parallel.releasePruneState()
 		loaded := roundTrip(t, &Table{dp: crossover}).dp
 
 		want, err := exhaustive.ScheduleFor(set, inst.SourceType, inst.Counts, inst.DestsByType)
@@ -58,32 +57,12 @@ func TestCanonicalTree(t *testing.T) {
 				t.Fatalf("%s: %s fill rebuilds\n%v\nexhaustive fill rebuilds\n%v", name, src, got, want)
 			}
 		}
-		box, err := Schedule(set)
+		sch, err := Schedule(set)
 		if err != nil {
 			t.Fatalf("%s: exact.Schedule: %v", name, err)
 		}
-		if !box.Equal(want) {
-			t.Fatalf("%s: box query rebuilds\n%v\nexhaustive fill rebuilds\n%v", name, box, want)
-		}
-
-		// A box strictly inside the network: a fresh DP fills only that
-		// box (crossover search on) and must still rebuild the full
-		// table's tree for it.
-		sub := make([]int, len(inst.Counts))
-		for j, c := range inst.Counts {
-			sub[j] = (c + 1) / 2
-		}
-		subSet, subDests := tableSet(set.Latency, inst.Types, inst.SourceType, sub)
-		wantSub, err := exhaustive.ScheduleFor(subSet, inst.SourceType, sub, subDests)
-		if err != nil {
-			t.Fatalf("%s: sub-box from the full table: %v", name, err)
-		}
-		gotSub, err := newDP().ScheduleFor(subSet, inst.SourceType, sub, subDests)
-		if err != nil {
-			t.Fatalf("%s: sub-box fill: %v", name, err)
-		}
-		if !gotSub.Equal(wantSub) {
-			t.Fatalf("%s: sub-box %v fill rebuilds\n%v\nfull table rebuilds\n%v", name, sub, gotSub, wantSub)
+		if !sch.Equal(want) {
+			t.Fatalf("%s: exact.Schedule rebuilds\n%v\nexhaustive fill rebuilds\n%v", name, sch, want)
 		}
 	}
 }

@@ -11,25 +11,28 @@
 //	          max( T(l, y) + S(s) + L + R(l),
 //	               T(s, i - y - e_l) + S(s) )
 //
-// which the DP evaluates in O(n^(2k)) for fixed k. The package also
-// rebuilds an optimal schedule from the DP values alone, precomputes the
-// full table the paper suggests (constant-time lookup for every possible
-// multicast in a network), and provides a pruned brute-force enumerator
-// used as an independent ground-truth oracle for small instances.
+// which the DP evaluates in O(n^(2k)) for fixed k. As Theorem 2's closing
+// remark suggests, a DP is filled whole, once: every state of the
+// network's table, after which every multicast drawn from the network is
+// a constant-time lookup (Table). The package also rebuilds an optimal
+// schedule from the DP values alone, and provides a pruned brute-force
+// enumerator used as an independent ground-truth oracle for small
+// instances.
 //
 // The solver is iterative and layered rather than recursive: every split
 // in the recurrence strictly reduces the total destination count, so the
 // states are evaluated bottom-up by total, layer t depending only on
-// layers < t. That removes recursion and per-call allocations, lets
-// FillAll shard each layer across a worker pool (FillAllParallel), and
-// enables the split pruning evalState documents: sound block-skip bounds
-// from nested prefix minima — the pivot axis alone, then the pivot plus
-// ever-longer prefixes of the remaining axes — that let the outer
-// odometer skip whole subranges of dominated splits, plus crossover
-// binary search on networks whose filled layers verify monotone (T is
-// NOT monotone in the count vector in general — an extra fast relay node
-// can lower the optimum — so that last fast path is guarded at runtime;
-// the prefix-minimum bounds are exact box minima and need no guard).
+// layers < t. One loop, fillLayers, walks the layers for every fill,
+// filling each layer inline or sharding it across a worker pool
+// (FillAllParallel). The layering also enables the split pruning
+// evalState documents: sound block-skip bounds from nested prefix minima
+// — the pivot axis alone, then the pivot plus ever-longer prefixes of the
+// remaining axes — that let the outer odometer skip whole subranges of
+// dominated splits, plus crossover binary search on networks whose filled
+// layers verify monotone (T is NOT monotone in the count vector in
+// general — an extra fast relay node can lower the optimum — so that last
+// fast path is guarded at runtime; the prefix-minimum bounds are exact
+// box minima and need no guard).
 //
 // The crossover search pays on top of the cascade: on balanced n=48, k=3
 // networks that verify monotone it leaves the examined column count
@@ -41,6 +44,7 @@
 package exact
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -63,9 +67,9 @@ type Type struct {
 }
 
 // DP is the Lemma 4 dynamic program for one network (a fixed latency and
-// inventory of node types). A DP is not safe for concurrent use, except
-// that FillAllParallel coordinates its own workers; after a fill, Optimal
-// degenerates to a read-only table lookup.
+// inventory of node types). It is filled once, by FillAll or
+// FillAllParallel (which coordinates its own workers), and is read-only
+// from then on; FinishTable seals it into a Table.
 type DP struct {
 	latency int64
 	types   []Type // sorted by (Send, Recv), all distinct
@@ -84,7 +88,7 @@ type DP struct {
 	planeOf  []int32
 	planeSrc []int
 
-	value []int64 // -1 = unknown; index = planeOf[src]*prod + encoded count vector
+	value []int64 // index = planeOf[src]*prod + encoded count vector
 	// pmin[idx] is the prefix minimum of value along the pivot axis:
 	// min over 0 <= t <= v_pivot of T(s, v - t*e_pivot). Maintained in
 	// O(1) per state during the fill (the predecessor sits one layer
@@ -101,8 +105,8 @@ type DP struct {
 	// cascade gives evalState an exact minimum over whole blocks of
 	// odometer columns in O(1), letting it skip subranges of dominated
 	// splits — again with no monotonicity assumption. pmin and cascade
-	// are fill-time state only and are freed once the table is full
-	// (releasePruneState); a loaded table never allocates them.
+	// are fill-time state only and are freed when the fill ends; a loaded
+	// table never allocates them.
 	cascade [][]int64
 	odo     []int // the non-pivot axes, ascending (odometer advance order)
 
@@ -125,24 +129,24 @@ type DP struct {
 	// flag drops (sticky) and later layers use the exhaustive column scan.
 	// Pruning a layer-t state only consults values in layers < t, all of
 	// which were checked before layer t started, so results stay exact for
-	// every input. Atomic because parallel fill workers share it; workers
-	// record violations locally and merge them at each layer barrier, so
-	// the flag is read once per layer and written at most once per fill.
-	monotonePivot atomic.Bool
+	// every input. Only the fill's coordinator reads and writes it: workers
+	// record violations locally and the coordinator merges them at each
+	// layer barrier, so the flag is read once per layer.
+	monotonePivot bool
 
 	// evalCols counts the odometer columns evalState actually examined
-	// (i.e. not skipped wholesale by a cascade block bound) across all
-	// fills of this DP — the pruning-effectiveness denominator. evalState
-	// tallies into its worker's fillScratch.cols; each fill adds the
-	// tallies here once, when it ends.
+	// (i.e. not skipped wholesale by a cascade block bound) during the
+	// fill — the pruning-effectiveness denominator. evalState tallies into
+	// its worker's fillScratch.cols; the fill adds the tallies here once,
+	// when it ends.
 	evalCols atomic.Int64
 	// noCascade disables the nested block skip; tests use it to prove the
 	// skip changes iteration counts but never values.
 	noCascade bool
-
-	// Scratch for the sequential fill path; parallel workers carry their
-	// own (see fillLayers).
-	seqScratch fillScratch
+	// filled is set once every state holds its value: by the fill, or on
+	// load. A second fill is a no-op and FinishTable refuses a DP without
+	// it, so a Table is full by construction.
+	filled bool
 }
 
 // fillScratch is the per-goroutine scratch a fill worker threads through
@@ -189,8 +193,9 @@ func (dp *DP) newScratch(workers int) []fillScratch {
 	return scr
 }
 
-const unknown = int64(-1)
 const inf = int64(math.MaxInt64) / 4
+
+var errUnfilled = errors.New("exact: the DP is not filled")
 
 // New creates a DP for a network with the given latency, node types and
 // per-type destination counts. Types must be distinct; they are sorted
@@ -203,16 +208,12 @@ func New(latency int64, types []Type, counts []int) (*DP, error) {
 	k := len(dp.types)
 	total := int64(len(dp.planeSrc)) * dp.prod
 	dp.value = make([]int64, total)
-	for i := range dp.value {
-		dp.value[i] = unknown
-	}
 	dp.pmin = make([]int64, total)
 	dp.cascade = make([][]int64, k-1)
 	for d := range dp.cascade {
 		dp.cascade[d] = make([]int64, total)
 	}
-	dp.seqScratch = dp.newScratch(1)[0]
-	dp.monotonePivot.Store(true)
+	dp.monotonePivot = true
 	dp.buildLayers()
 	return dp, nil
 }
@@ -295,33 +296,25 @@ func newGeometry(latency int64, types []Type, counts []int) (*DP, error) {
 	return dp, nil
 }
 
-// buildLayers counting-sorts every count-vector state by its total
-// destination count into dp.order / dp.layerOff.
-func (dp *DP) buildLayers() {
-	dp.order, dp.layerOff = dp.countingSortBox(dp.counts)
-}
-
-// countingSortBox lists every encoded state within the componentwise box
-// bounded by bounds, counting-sorted by total destination count:
-// order[layerOff[t]:layerOff[t+1]] are the box states with total t, each
+// buildLayers lists every encoded count-vector state counting-sorted by
+// total destination count into dp.order / dp.layerOff:
+// order[layerOff[t]:layerOff[t+1]] are the states with total t, each
 // layer in ascending encoded order (the odometer visits states
 // ascending), so the fill order is deterministic. Two odometer passes
 // track the total and the encoded state incrementally.
-func (dp *DP) countingSortBox(bounds []int) (order, layerOff []int32) {
+func (dp *DP) buildLayers() {
 	k := len(dp.types)
-	boxProd := 1
 	maxTotal := 0
-	for _, c := range bounds {
-		boxProd *= c + 1
+	for _, c := range dp.counts {
 		maxTotal += c
 	}
 	hist := make([]int32, maxTotal+1)
 	vec := make([]int, k)
 	total := 0
-	for i := 0; i < boxProd; i++ {
+	for i := int64(0); i < dp.prod; i++ {
 		hist[total]++
 		for j := 0; j < k; j++ {
-			if vec[j] < bounds[j] {
+			if vec[j] < dp.counts[j] {
 				vec[j]++
 				total++
 				break
@@ -330,22 +323,22 @@ func (dp *DP) countingSortBox(bounds []int) (order, layerOff []int32) {
 			vec[j] = 0
 		}
 	}
-	layerOff = make([]int32, maxTotal+2)
+	layerOff := make([]int32, maxTotal+2)
 	for t := 0; t <= maxTotal; t++ {
 		layerOff[t+1] = layerOff[t] + hist[t]
 	}
-	order = make([]int32, boxProd)
+	order := make([]int32, dp.prod)
 	next := append([]int32(nil), layerOff[:maxTotal+1]...)
 	for j := range vec {
 		vec[j] = 0
 	}
 	total = 0
 	var state int64
-	for i := 0; i < boxProd; i++ {
+	for i := int64(0); i < dp.prod; i++ {
 		order[next[total]] = int32(state)
 		next[total]++
 		for j := 0; j < k; j++ {
-			if vec[j] < bounds[j] {
+			if vec[j] < dp.counts[j] {
 				vec[j]++
 				total++
 				state += dp.strides[j]
@@ -356,7 +349,7 @@ func (dp *DP) countingSortBox(bounds []int) (order, layerOff []int32) {
 			vec[j] = 0
 		}
 	}
-	return order, layerOff
+	dp.order, dp.layerOff = order, layerOff
 }
 
 // K returns the number of distinct types.
@@ -378,17 +371,6 @@ func (dp *DP) States() int64 { return int64(len(dp.value)) }
 // and the table memory shrinks by exactly K()/Planes().
 func (dp *DP) Planes() int { return len(dp.planeSrc) }
 
-// Computed returns how many states have been evaluated so far.
-func (dp *DP) Computed() int64 {
-	var c int64
-	for _, v := range dp.value {
-		if v != unknown {
-			c++
-		}
-	}
-	return c
-}
-
 func (dp *DP) encodeVec(vec []int) int64 {
 	var s int64
 	for j, v := range vec {
@@ -406,22 +388,6 @@ func (dp *DP) decodeVec(state int64, out []int) {
 
 func (dp *DP) stateIndex(src int, vecState int64) int64 {
 	return int64(dp.planeOf[src])*dp.prod + vecState
-}
-
-// Optimal returns T(srcType, counts): the minimum reception completion time
-// of a multicast from a source of type srcType to counts[j] destinations of
-// type j. counts must be within the per-type limits the DP was built with.
-// The first call fills every state within the queried box bottom-up;
-// repeat calls on filled states are constant-time lookups.
-func (dp *DP) Optimal(srcType int, counts []int) (int64, error) {
-	if err := dp.checkQuery(srcType, counts); err != nil {
-		return 0, err
-	}
-	idx := dp.stateIndex(srcType, dp.encodeVec(counts))
-	if dp.value[idx] == unknown {
-		dp.fillBox(counts)
-	}
-	return dp.value[idx], nil
 }
 
 func (dp *DP) checkQuery(srcType int, counts []int) error {
@@ -626,69 +592,19 @@ func (dp *DP) evalState(s int, vecState int64, sc *fillScratch, pruned bool) int
 	return best
 }
 
-// EvalColumns returns the cumulative number of odometer columns
-// evalState examined (not skipped wholesale by a cascade block bound)
-// across every fill on this DP. Benchmarks and the pruning-effectiveness
-// tests compare it between cascade-enabled and cascade-disabled fills.
+// EvalColumns returns the number of odometer columns evalState examined
+// (not skipped wholesale by a cascade block bound) during the DP's fill.
+// Benchmarks and the pruning-effectiveness tests compare it between
+// cascade-enabled and cascade-disabled fills.
 func (dp *DP) EvalColumns() int64 { return dp.evalCols.Load() }
 
-// fillBox evaluates every unknown state (all source types) whose count
-// vector is componentwise within limit (nil = no limit, the full table),
-// bottom-up by layer. Sequential; uses the DP's own scratch. A bounded
-// query enumerates only the box itself (counting-sorted by total on the
-// fly), so small queries on a big DP stay proportional to the box, not to
-// the whole state space.
-func (dp *DP) fillBox(limit []int) {
-	if limit == nil {
-		dp.fillStates(dp.order, dp.layerOff, 0, len(dp.layerOff)-1)
-		return
-	}
-	order, layerOff := dp.countingSortBox(limit)
-	dp.fillStates(order, layerOff, 0, len(layerOff)-1)
-}
-
-// fillStates evaluates the listed states of layers [lo, hi) in layer
-// order (every referenced sub-state must appear in an earlier layer or
-// already be known). The pruning flag is sampled per layer and
-// violations observed inside a layer are folded back at its end: pruning
-// a layer-t state only consults layers < t, whose pivot-axis
-// monotonicity was checked before layer t started, so a violation
-// surfacing in layer t disables pruning from layer t+1 without
-// invalidating anything already computed.
-func (dp *DP) fillStates(order []int32, layerOff []int32, lo, hi int) {
-	sc := &dp.seqScratch
-	for t := lo; t < hi; t++ {
-		pruned := dp.monotonePivot.Load()
-		violated := false
-		for i := layerOff[t]; i < layerOff[t+1]; i++ {
-			vecState := int64(order[i])
-			dp.decodeVec(vecState, sc.vec)
-			for _, s := range dp.planeSrc {
-				if dp.fillOne(s, t, vecState, sc, pruned) {
-					violated = true
-				}
-			}
-		}
-		if violated {
-			dp.monotonePivot.Store(false)
-		}
-	}
-	dp.evalCols.Add(sc.cols)
-	sc.cols = 0
-}
-
 // fillOne evaluates one state (s, vecState) of layer t, maintaining the
-// value and nested prefix-minimum tables, and reports whether
-// the new value violates pivot-axis monotonicity (the caller folds
-// violations into monotonePivot at its layer barrier). Already-known
-// states are left untouched. sc.vec must hold the decoded vecState.
-// Shared by the sequential and parallel fills so their results stay
-// bit-identical by construction.
+// value and nested prefix-minimum tables, and reports whether the new
+// value violates pivot-axis monotonicity (the coordinator folds
+// violations into monotonePivot at the layer barrier). sc.vec must hold
+// the decoded vecState.
 func (dp *DP) fillOne(s, t int, vecState int64, sc *fillScratch, pruned bool) bool {
 	idx := dp.stateIndex(s, vecState)
-	if dp.value[idx] != unknown {
-		return false
-	}
 	if t == 0 {
 		dp.value[idx] = 0
 		return dp.notePruneState(idx, sc.vec, 0)
@@ -727,36 +643,18 @@ func (dp *DP) notePruneState(idx int64, vec []int, v int64) (violated bool) {
 	return violated
 }
 
-// releasePruneState frees the fill-only prefix-minimum tables once every
-// state is filled. Past that point no fill path can reach them (fillOne
-// returns early on every known state), and dropping them cuts a cached
-// heap table's resident cost to just the value planes — matching what a
-// table loaded from disk costs.
-func (dp *DP) releasePruneState() {
-	for _, v := range dp.value {
-		if v == unknown {
-			return
-		}
-	}
-	dp.pmin = nil
-	dp.cascade = nil
-}
-
 // FillAll evaluates every state (all source types, all count vectors up to
 // the per-type limits), realizing the precomputed table of Theorem 2's
-// closing remark. After FillAll every Optimal call is a constant-time
-// lookup.
-func (dp *DP) FillAll() {
-	dp.fillBox(nil)
-	dp.releasePruneState()
-}
+// closing remark. It is FillAllParallel(1): the same layered loop, run
+// on the calling goroutine alone.
+func (dp *DP) FillAll() { dp.FillAllParallel(1) }
 
 // FillAllParallel is FillAll with each layer's work sharded across up to
 // workers goroutines (0 selects GOMAXPROCS). Layers are barriers: layer t
 // only starts once every state of layers < t is written, which is exactly
 // the dependency structure of the recurrence, so the values are
-// deterministic and identical to the sequential fill regardless of
-// scheduling.
+// deterministic and identical for every worker count. A DP is filled
+// once; calling either fill again does nothing.
 func (dp *DP) FillAllParallel(workers int) {
 	// More workers than cores never helps a CPU-bound fill, and the count
 	// can arrive from the network (/v1/table's parallelism field), so
@@ -764,12 +662,7 @@ func (dp *DP) FillAllParallel(workers int) {
 	if workers <= 0 || workers > runtime.GOMAXPROCS(0) {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		dp.FillAll()
-		return
-	}
 	dp.fillLayers(workers)
-	dp.releasePruneState()
 }
 
 // smallLayerFill is the state-evaluation count below which a layer is
@@ -814,15 +707,17 @@ func (dp *DP) runLayer(lt *layerTask, sc *fillScratch) (violated bool) {
 	}
 }
 
-// fillLayers fills every layer of the full-box order with a pool of
-// workers spawned once for the whole fill (the old per-layer
-// goroutine spawn dominated small layers and was the w>1 allocation
-// regression). Per layer the coordinator publishes the task, wakes the
-// pool with one token each, participates itself, and waits the barrier
-// out; layers too small to amortize the handshake are filled inline.
-// Workers observe monotonicity violations locally and the coordinator
-// merges them at the barrier, so the next layer's pruned sample sees
-// them exactly as it would in the sequential fill.
+// fillLayers is the DP's one fill loop: it fills every layer of dp.order
+// in turn, then frees the fill-only state and marks the DP filled; on a
+// filled DP it does nothing. The workers-1 pool goroutines
+// are spawned once for the whole fill, and one worker spawns none. Per
+// layer the coordinator samples monotonePivot, then either fills the
+// layer inline (one worker, or a layer too small to amortize the
+// handshake) or publishes the task, wakes the pool with one token each,
+// participates itself, and waits the barrier out. Workers observe
+// monotonicity violations locally and the coordinator merges them at the
+// barrier, so every worker count prunes the same columns and fills the
+// same values.
 //
 // No shared lines between workers: each worker, the coordinator included,
 // writes per state only into the DP tables and its own scratch from
@@ -831,6 +726,9 @@ func (dp *DP) runLayer(lt *layerTask, sc *fillScratch) (violated bool) {
 // scratch too and reach evalCols once, after the last layer. It returns
 // how many layers went through the pool (the rest ran inline).
 func (dp *DP) fillLayers(workers int) (pooled int) {
+	if dp.filled {
+		return 0
+	}
 	scr := dp.newScratch(workers)
 	lt := &layerTask{}
 	violated := make([]bool, workers)
@@ -852,11 +750,8 @@ func (dp *DP) fillLayers(workers int) (pooled int) {
 		if n == 0 {
 			continue
 		}
-		// Sampled at the layer barrier, exactly like the sequential fill,
-		// so values and column counts stay bit-identical to it.
-		pruned := dp.monotonePivot.Load()
-		lt.off, lt.n, lt.t, lt.pruned = off, n, t, pruned
-		if n*len(dp.planeSrc) < smallLayerFill {
+		lt.off, lt.n, lt.t, lt.pruned = off, n, t, dp.monotonePivot
+		if workers == 1 || n*len(dp.planeSrc) < smallLayerFill {
 			lt.chunk = int64(n)
 			lt.cursor.Store(0)
 			if dp.runLayer(lt, &scr[0]) {
@@ -877,7 +772,7 @@ func (dp *DP) fillLayers(workers int) (pooled int) {
 		}
 		for w := range violated {
 			if violated[w] {
-				dp.monotonePivot.Store(false)
+				dp.monotonePivot = false
 				violated[w] = false
 			}
 		}
@@ -886,6 +781,12 @@ func (dp *DP) fillLayers(workers int) (pooled int) {
 	for w := range scr {
 		dp.evalCols.Add(scr[w].cols)
 	}
+	// Every state is final, so nothing reads the prefix minima or the
+	// layer order again; dropping them cuts a cached heap table's resident
+	// cost to just the value planes, matching what a table loaded from
+	// disk costs.
+	dp.pmin, dp.cascade, dp.order, dp.layerOff = nil, nil, nil, nil
+	dp.filled = true
 	return pooled
 }
 
@@ -958,13 +859,16 @@ func (dp *DP) split(s int, vecState int64, vec []int, v int64, y []int) (l int, 
 //
 // The tree is the canonical one: at every node it takes the split the
 // exhaustive scan settles on (see split), so any fill of the same
-// network — sequential or parallel, a box or the full table, with or
-// without the crossover search, built or loaded — yields the same tree,
-// and it scores exactly the table value. A table whose values no split
-// reproduces, or whose empty states are not 0, is reported as an error:
-// the values may come from a hostile file. The walk keeps an explicit
-// stack, so a deep tree cannot exhaust the goroutine stack.
+// network — any worker count, with or without the crossover search,
+// built or loaded — yields the same tree, and it scores exactly the
+// table value. A table whose values no split reproduces, or whose empty
+// states are not 0, is reported as an error: the values may come from a
+// hostile file. The walk keeps an explicit stack, so a deep tree cannot
+// exhaust the goroutine stack. The DP must be filled.
 func (dp *DP) ScheduleFor(set *model.MulticastSet, srcType int, counts []int, destsByType [][]model.NodeID) (*model.Schedule, error) {
+	if !dp.filled {
+		return nil, errUnfilled
+	}
 	if err := dp.checkQuery(srcType, counts); err != nil {
 		return nil, err
 	}
@@ -972,9 +876,6 @@ func (dp *DP) ScheduleFor(set *model.MulticastSet, srcType int, counts []int, de
 		if len(destsByType[j]) != counts[j] {
 			return nil, fmt.Errorf("exact: %d IDs supplied for type %d, counts say %d", len(destsByType[j]), j, counts[j])
 		}
-	}
-	if dp.value[dp.stateIndex(srcType, dp.encodeVec(counts))] == unknown {
-		dp.fillBox(counts)
 	}
 	k := len(dp.types)
 	sch := model.NewSchedule(set)

@@ -52,8 +52,8 @@ func benchK2N40Set() *model.MulticastSet {
 	return &model.MulticastSet{Latency: 1, Nodes: nodes}
 }
 
-// BenchmarkDPSolve measures a single full-instance Optimal on the layered
-// iterative solver (k=2, 40 destinations).
+// BenchmarkDPSolve measures one OptimalRT on the layered iterative
+// solver (k=2, 40 destinations): a full table fill and one lookup.
 func BenchmarkDPSolve(b *testing.B) {
 	set := benchK2N40Set()
 	b.ReportAllocs()

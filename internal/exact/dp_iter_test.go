@@ -43,9 +43,9 @@ func TestIterativeMatchesReferenceRandom(t *testing.T) {
 			}
 		}
 		if n <= MaxBruteForceN {
-			opt, err := dp.Optimal(inst.SourceType, inst.Counts)
+			opt, err := (&Table{dp: dp}).Lookup(inst.SourceType, inst.Counts)
 			if err != nil {
-				t.Fatalf("trial %d: Optimal: %v", trial, err)
+				t.Fatalf("trial %d: Lookup: %v", trial, err)
 			}
 			bf, err := BruteForceRT(set)
 			if err != nil {
@@ -73,11 +73,15 @@ func TestNonMonotoneNetworkExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp.FillAll()
-	lo, err := dp.Optimal(1, []int{0, 0, 5})
+	tbl, err := dp.FinishTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := dp.Optimal(1, []int{1, 0, 5})
+	lo, err := tbl.Lookup(1, []int{0, 0, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := tbl.Lookup(1, []int{1, 0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestIterativeMatchesReferenceTiedTypes(t *testing.T) {
 }
 
 // TestParallelFillMatchesSequential checks FillAllParallel against the
-// sequential fill state for state.
+// one-worker fill state for state.
 // Run under -race this also exercises the layer-barrier discipline. These
 // networks are small enough that every layer runs inline on the
 // coordinator; TestParallelPoolMatchesSequential covers the pool.
@@ -204,8 +208,8 @@ func TestParallelFillMatchesSequential(t *testing.T) {
 // fails at layer 3, before the pool's first layer, so the pool only scans
 // columns exhaustively; and a k=3 network whose monotonicity fails only
 // after the pool has filled pruned layers, so the pool runs both. At 2
-// and 4 workers the values and EvalColumns must equal the
-// sequential fill's.
+// and 4 workers the values and EvalColumns must equal those of the same
+// loop run with one worker.
 func TestParallelPoolMatchesSequential(t *testing.T) {
 	tables, err := Analyze(benchK3N48Set())
 	if err != nil {
@@ -232,19 +236,20 @@ func TestParallelPoolMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// FillAll one layer at a time, noting where monotonicity drops
-		// and which layer is the first big enough for the pool.
-		firstPool, drop := -1, -1
+		firstPool := -1 // the first layer big enough for the pool
 		for l := 0; l+1 < len(seq.layerOff); l++ {
-			if firstPool < 0 && int(seq.layerOff[l+1]-seq.layerOff[l])*seq.Planes() >= smallLayerFill {
+			if int(seq.layerOff[l+1]-seq.layerOff[l])*seq.Planes() >= smallLayerFill {
 				firstPool = l
-			}
-			seq.fillStates(seq.order, seq.layerOff, l, l+1)
-			if drop < 0 && !seq.monotonePivot.Load() {
-				drop = l
+				break
 			}
 		}
-		seq.releasePruneState()
+		if pooled := seq.fillLayers(1); pooled != 0 {
+			t.Fatalf("%s w1: %d layers went through a pool", c.name, pooled)
+		}
+		drop := firstViolation(seq)
+		if seq.monotonePivot != (drop < 0) {
+			t.Fatalf("%s: monotonePivot %v, but the first violating layer is %d", c.name, seq.monotonePivot, drop)
+		}
 		got := dropsInPool
 		switch {
 		case drop < 0:
@@ -263,13 +268,39 @@ func TestParallelPoolMatchesSequential(t *testing.T) {
 			// fillLayers directly: FillAllParallel would clamp w to
 			// GOMAXPROCS.
 			pooled := par.fillLayers(w)
-			par.releasePruneState()
 			if pooled == 0 {
 				t.Fatalf("%s w%d: no layer went through the pool", c.name, w)
 			}
 			assertFillsMatch(t, fmt.Sprintf("%s w%d", c.name, w), seq, par)
 		}
 	}
+}
+
+// firstViolation returns the lowest layer (destination total) holding a
+// state whose value is below its pivot-axis predecessor's, which is the
+// layer at whose barrier the fill drops monotonePivot, or -1 if dp's
+// filled values are monotone along the pivot.
+func firstViolation(dp *DP) int {
+	sp := dp.strides[dp.pivot]
+	vec := make([]int, dp.K())
+	drop := -1
+	for st := int64(0); st < dp.prod; st++ {
+		dp.decodeVec(st, vec)
+		if vec[dp.pivot] == 0 {
+			continue
+		}
+		total := 0
+		for _, c := range vec {
+			total += c
+		}
+		for p := range dp.planeSrc {
+			idx := int64(p)*dp.prod + st
+			if dp.value[idx] < dp.value[idx-sp] && (drop < 0 || total < drop) {
+				drop = total
+			}
+		}
+	}
+	return drop
 }
 
 // assertFillsMatch fails unless par holds exactly seq's values, examined
@@ -287,45 +318,8 @@ func assertFillsMatch(t *testing.T, name string, seq, par *DP) {
 	if s, p := seq.EvalColumns(), par.EvalColumns(); s != p {
 		t.Fatalf("%s: EvalColumns: seq=%d par=%d", name, s, p)
 	}
-	if s, p := seq.monotonePivot.Load(), par.monotonePivot.Load(); s != p {
+	if s, p := seq.monotonePivot, par.monotonePivot; s != p {
 		t.Fatalf("%s: monotonePivot: seq=%v par=%v", name, s, p)
-	}
-}
-
-// TestOptimalBoxFillThenFillAll exercises the partial (box-limited) fill
-// followed by a full fill: the lazily filled states must survive intact
-// and the remainder must complete.
-func TestOptimalBoxFillThenFillAll(t *testing.T) {
-	set := figure1Set(t)
-	inst, err := Analyze(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := inst.NewDP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query a strict sub-box first.
-	sub, err := dp.Optimal(0, []int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub != 3 {
-		t.Fatalf("sub-box Optimal = %d, want 3", sub)
-	}
-	if dp.Computed() == dp.States() {
-		t.Fatal("sub-box query filled the whole table")
-	}
-	dp.FillAll()
-	if dp.Computed() != dp.States() {
-		t.Fatalf("FillAll left %d of %d states unknown", dp.States()-dp.Computed(), dp.States())
-	}
-	full, err := dp.Optimal(inst.SourceType, inst.Counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full != 8 {
-		t.Fatalf("full Optimal = %d, want 8", full)
 	}
 }
 

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -289,20 +290,29 @@ func TestTableFillAllAndLookup(t *testing.T) {
 	}
 }
 
-// TestFinishTableRejectsPartialFill: FinishTable must refuse a DP with
-// unfilled states and seal a fully filled one into a working table.
+// TestFinishTableRejectsPartialFill: FinishTable must refuse a DP that
+// was never filled and seal a filled one into a working table, and a DP
+// is filled once: a second fill leaves its values and EvalColumns as
+// they were.
 func TestFinishTableRejectsPartialFill(t *testing.T) {
 	dp, err := New(2, []Type{{Send: 1, Recv: 2}, {Send: 2, Recv: 3}}, []int{3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dp.Optimal(0, []int{1, 0}); err != nil { // sub-box only
-		t.Fatal(err)
-	}
 	if _, err := dp.FinishTable(); err == nil {
-		t.Error("FinishTable sealed a partially filled DP")
+		t.Error("FinishTable sealed an unfilled DP")
+	}
+	src := &model.MulticastSet{Latency: 2, Nodes: []model.Node{{Send: 1, Recv: 2}}}
+	if _, err := dp.ScheduleFor(src, 0, []int{0, 0}, [][]model.NodeID{nil, nil}); err == nil {
+		t.Error("ScheduleFor read an unfilled DP")
 	}
 	dp.FillAllParallel(2)
+	values := slices.Clone(dp.value)
+	cols := dp.EvalColumns()
+	dp.FillAll()
+	if !slices.Equal(dp.value, values) || dp.EvalColumns() != cols {
+		t.Errorf("a second fill changed the DP: EvalColumns %d -> %d", cols, dp.EvalColumns())
+	}
 	tbl, err := dp.FinishTable()
 	if err != nil {
 		t.Fatal(err)
@@ -372,13 +382,18 @@ func TestOptimalQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := dp.Optimal(-1, []int{0, 0}); err == nil {
+	dp.FillAll()
+	tbl, err := dp.FinishTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Lookup(-1, []int{0, 0}); err == nil {
 		t.Error("negative source type accepted")
 	}
-	if _, err := dp.Optimal(0, []int{4, 0}); err == nil {
+	if _, err := tbl.Lookup(0, []int{4, 0}); err == nil {
 		t.Error("count above limit accepted")
 	}
-	if _, err := dp.Optimal(0, []int{1}); err == nil {
+	if _, err := tbl.Lookup(0, []int{1}); err == nil {
 		t.Error("short count vector accepted")
 	}
 }

@@ -81,8 +81,8 @@ func (t *Table) Mapped() bool {
 }
 
 // SizeBytes is the table's resident cost for budgeting purposes: the
-// mapping length for mapped tables (page-cache pressure), the solver
-// arrays for heap tables. Small fixed-size metadata is ignored.
+// mapping length for mapped tables (page-cache pressure), the value
+// planes for heap tables. Small fixed-size metadata is ignored.
 func (t *Table) SizeBytes() int64 {
 	t.lc.mu.Lock()
 	mapped := t.lc.mapped
@@ -90,12 +90,7 @@ func (t *Table) SizeBytes() int64 {
 	if mapped != nil {
 		return int64(len(mapped))
 	}
-	n := len(t.dp.value) + len(t.dp.pmin)
-	for _, c := range t.dp.cascade {
-		// Fully built tables have released the prefix-minimum state, so
-		// this counts nothing on the usual cache path; it only matters for
-		// a table wrapped around a partially filled DP.
-		n += len(c)
-	}
-	return 8 * int64(n)
+	// A Table's DP is filled, and the fill freed its prefix-minimum
+	// state, so the value planes are all it holds.
+	return 8 * int64(len(t.dp.value))
 }

@@ -22,6 +22,9 @@ type refDP struct {
 	value []int64
 }
 
+// unknown marks a memo entry the recursion has not evaluated yet.
+const unknown = int64(-1)
+
 // index is the reference's own state indexing: one full plane per source
 // type, deliberately NOT the deduplicated planeOf indexing of DP.
 func (r *refDP) index(s int, vecState int64) int64 {

@@ -72,53 +72,25 @@ func (in *Instance) NewDP() (*DP, error) {
 }
 
 // OptimalRT returns the optimal reception completion time of the set,
-// computed with the Lemma 4 DP. It fails if the state space exceeds
-// MaxStates (too many distinct types for the instance size).
+// computed with the Lemma 4 DP: it fills the set's table and looks the
+// set up. It fails if the state space exceeds MaxStates (too many
+// distinct types for the instance size).
 func OptimalRT(set *model.MulticastSet) (int64, error) {
-	inst, err := Analyze(set)
+	inst, t, err := buildTable(set, 1)
 	if err != nil {
 		return 0, err
 	}
-	dp, err := inst.NewDP()
-	if err != nil {
-		return 0, err
-	}
-	return dp.Optimal(inst.SourceType, inst.Counts)
+	return t.Lookup(inst.SourceType, inst.Counts)
 }
 
-// Schedule computes an optimal schedule for the set via the DP.
+// Schedule computes an optimal schedule for the set via the DP: it fills
+// the set's table and rebuilds the set's tree from it.
 func Schedule(set *model.MulticastSet) (*model.Schedule, error) {
-	inst, err := Analyze(set)
+	inst, t, err := buildTable(set, 1)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := inst.NewDP()
-	if err != nil {
-		return nil, err
-	}
-	opt, err := dp.Optimal(inst.SourceType, inst.Counts)
-	if err != nil {
-		return nil, err
-	}
-	return dp.scheduleChecked(inst, opt)
-}
-
-// scheduleChecked rebuilds inst's canonical optimal tree from the filled
-// values and re-scores it through the flat engine: the realized tree must
-// achieve exactly opt, the DP's value for inst, or the rebuild from
-// values is buggy (or the values hostile). One O(n) pass, negligible next
-// to the table fill.
-func (dp *DP) scheduleChecked(inst *Instance, opt int64) (*model.Schedule, error) {
-	sch, err := dp.ScheduleFor(inst.Set, inst.SourceType, inst.Counts, inst.DestsByType)
-	if err != nil {
-		return nil, err
-	}
-	var eng model.Engine
-	eng.Attach(sch)
-	if eng.RT() != opt {
-		return nil, fmt.Errorf("exact: reconstructed schedule scores %d, DP optimum is %d", eng.RT(), opt)
-	}
-	return sch, nil
+	return t.Schedule(inst)
 }
 
 // Solver is the model.Scheduler adapter for the DP.
@@ -160,28 +132,31 @@ func BuildTable(set *model.MulticastSet) (*Table, error) {
 // to workers goroutines (0 selects GOMAXPROCS). The resulting table is
 // identical to the sequential build.
 func BuildTableParallel(set *model.MulticastSet, workers int) (*Table, error) {
+	_, t, err := buildTable(set, workers)
+	return t, err
+}
+
+// buildTable analyzes the set and fills its network's table with up to
+// workers goroutines.
+func buildTable(set *model.MulticastSet, workers int) (*Instance, *Table, error) {
 	inst, err := Analyze(set)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dp, err := inst.NewDP()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dp.FillAllParallel(workers)
-	return &Table{dp: dp}, nil
+	return inst, &Table{dp: dp}, nil
 }
 
 // FinishTable seals a DP filled by the caller (FillAll or
-// FillAllParallel) into a Table, releasing the fill-only prefix-minimum
-// state. It fails if any state is still unfilled.
+// FillAllParallel) into a Table. It fails if the DP was never filled.
 func (dp *DP) FinishTable() (*Table, error) {
-	for _, v := range dp.value {
-		if v == unknown {
-			return nil, fmt.Errorf("exact: cannot seal a partially filled table")
-		}
+	if !dp.filled {
+		return nil, errUnfilled
 	}
-	dp.releasePruneState()
 	return &Table{dp: dp}, nil
 }
 
@@ -210,19 +185,17 @@ func (t *Table) Lookup(srcType int, counts []int) (int64, error) {
 	if err := t.dp.checkQuery(srcType, counts); err != nil {
 		return 0, err
 	}
-	idx := t.dp.stateIndex(srcType, t.dp.encodeVec(counts))
-	v := t.dp.value[idx]
-	if v == unknown {
-		return 0, fmt.Errorf("exact: state not filled (table built incorrectly)")
-	}
-	return v, nil
+	return t.dp.value[t.dp.stateIndex(srcType, t.dp.encodeVec(counts))], nil
 }
 
 // Schedule rebuilds the canonical optimal schedule for an analyzed
 // instance of the table's own network (same latency and type inventory,
-// counts within the table's) from the stored values, re-scored like
-// exact.Schedule. It never fills: a built or loaded table holds every
-// value, so a read-only mapping is only read.
+// counts within the table's) from the stored values. The realized tree is
+// re-scored through the flat engine and must achieve exactly the table's
+// value for inst, or the rebuild from values is buggy (or the values
+// hostile); one O(n) pass, negligible next to the table fill. It never
+// fills: a built or loaded table holds every value, so a read-only
+// mapping is only read.
 func (t *Table) Schedule(inst *Instance) (*model.Schedule, error) {
 	if inst.Set.Latency != t.dp.latency || !slices.Equal(inst.Types, t.dp.types) {
 		return nil, fmt.Errorf("exact: instance is not drawn from the table's network")
@@ -231,7 +204,16 @@ func (t *Table) Schedule(inst *Instance) (*model.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.dp.scheduleChecked(inst, opt)
+	sch, err := t.dp.ScheduleFor(inst.Set, inst.SourceType, inst.Counts, inst.DestsByType)
+	if err != nil {
+		return nil, err
+	}
+	var eng model.Engine
+	eng.Attach(sch)
+	if eng.RT() != opt {
+		return nil, fmt.Errorf("exact: reconstructed schedule scores %d, DP optimum is %d", eng.RT(), opt)
+	}
+	return sch, nil
 }
 
 // LookupSet answers an arbitrary multicast drawn from the table's network

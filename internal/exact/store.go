@@ -102,16 +102,10 @@ func leWords(b []byte) []int64 {
 }
 
 // WriteTo serializes the table in the versioned on-disk format described
-// above, implementing io.WriterTo. The table must be fully filled (every
-// table from BuildTable is); partially filled DPs are rejected rather than
-// persisted silently incomplete.
+// above, implementing io.WriterTo. Every Table is fully filled, so every
+// persisted table answers every query.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	dp := t.dp
-	for _, v := range dp.value {
-		if v == unknown {
-			return 0, fmt.Errorf("exact: cannot persist a partially filled table")
-		}
-	}
 	k := len(dp.types)
 	le := binary.LittleEndian
 	header := make([]byte, 32+24*k)
@@ -315,10 +309,9 @@ func readTableBytes(data []byte) (*Table, error) {
 		}
 	}
 	dp.value = value
-	dp.seqScratch = dp.newScratch(1)[0]
-	dp.monotonePivot.Store(true)
 	// No pmin/cascade and no layer ordering: a loaded table is fully
-	// filled, so every fill path that would need them is unreachable.
+	// filled, so the fill that would need them never runs.
+	dp.filled = true
 	return &Table{dp: dp}, nil
 }
 

@@ -200,22 +200,6 @@ func TestLoadedTableServesLookupsAndSchedules(t *testing.T) {
 	}
 }
 
-// TestWriteToRejectsPartialFill guards the format's invariant that a
-// persisted table answers every query: an unfinished DP must not
-// serialize.
-func TestWriteToRejectsPartialFill(t *testing.T) {
-	dp, err := New(2, []Type{{Send: 1, Recv: 1}, {Send: 2, Recv: 3}}, []int{3, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dp.Optimal(0, []int{1, 0}); err != nil { // sub-box only
-		t.Fatal(err)
-	}
-	if _, err := (&Table{dp: dp}).WriteTo(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteTo accepted a partially filled table")
-	}
-}
-
 // TestReadTableRejectsCorruption walks the error surface the fuzz target
 // explores: truncation at every boundary, bit flips everywhere, version
 // skew, bad magic, and trailing garbage must all fail loudly.

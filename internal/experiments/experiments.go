@@ -407,11 +407,17 @@ func e5ScalingTable() string {
 				continue
 			}
 			start := time.Now()
-			opt, err := dp.Optimal(inst.SourceType, inst.Counts)
+			dp.FillAll()
+			elapsed := time.Since(start)
+			tbl, err := dp.FinishTable()
 			if err != nil {
 				return fmt.Sprintf("E5: %v", err)
 			}
-			tb.AddRow(k, n, dp.States(), float64(time.Since(start).Microseconds())/1000, opt)
+			opt, err := tbl.Lookup(inst.SourceType, inst.Counts)
+			if err != nil {
+				return fmt.Sprintf("E5: %v", err)
+			}
+			tb.AddRow(k, n, dp.States(), float64(elapsed.Microseconds())/1000, opt)
 		}
 	}
 	b.WriteString(tb.String())

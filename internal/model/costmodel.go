@@ -301,6 +301,26 @@ func (BarrierModel) recurrence(set *MulticastSet) (recurrence, error) {
 	return recurrence{segs: 1, lat: set.Latency, ready: true}, nil
 }
 
+// ByName maps a request's model name to its cost model, for every model
+// the name and a pipeline segment count determine: "" and "base" give nil
+// (the base model), then "pipeline", "reduce" and "barrier". Segments is
+// checked by the model's Validate, not here. "wan" needs a latency matrix,
+// so callers resolve it before calling; ByName rejects it like any other
+// unknown name.
+func ByName(name string, segments int) (CostModel, error) {
+	switch name {
+	case "", "base":
+		return nil, nil
+	case "pipeline":
+		return &PipelineModel{Segments: segments}, nil
+	case "reduce":
+		return &ReduceModel{}, nil
+	case "barrier":
+		return &BarrierModel{}, nil
+	}
+	return nil, fmt.Errorf("unknown model %q (want base, wan, pipeline, reduce or barrier)", name)
+}
+
 // NodeModel is the single-parameter per-node cost family the paper's
 // references [2]/[9] span (postal and node models): the i-th child w of v
 // is delivered at r(v) + i*c(v) + Lambda where c(v) is v's Send overhead

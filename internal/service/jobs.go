@@ -71,54 +71,44 @@ type SweepRequest struct {
 	WAN *WANSpec `json:"wan,omitempty"`
 }
 
-// validateModel checks the cost-model selection against the rest of the
-// request. It runs before fill(), so the cluster-generator fields still
-// distinguish "unset" from their defaults: a WAN sweep ignores them, and
-// silently ignoring explicit parameters is exactly the class of bug the
-// cost-model seam exists to prevent.
-func (req *SweepRequest) validateModel() error {
+// sweepModel checks the cost-model selection against the rest of the
+// request and returns the sweep-wide cost model: nil for the base model
+// and for "wan" (whose matrices are per-instance). It runs before fill(),
+// so the cluster-generator fields still distinguish "unset" from their
+// defaults: a WAN sweep ignores them, and silently ignoring explicit
+// parameters is exactly the class of bug the cost-model seam exists to
+// prevent.
+func (req *SweepRequest) sweepModel() (model.CostModel, error) {
 	if req.Model != "pipeline" && req.Segments != 0 {
-		return fmt.Errorf("\"segments\" applies to model \"pipeline\" only")
+		return nil, fmt.Errorf("\"segments\" applies to model \"pipeline\" only")
 	}
 	if req.Model != "wan" && req.WAN != nil {
-		return fmt.Errorf("\"wan\" applies to model \"wan\" only")
+		return nil, fmt.Errorf("\"wan\" applies to model \"wan\" only")
 	}
-	switch req.Model {
-	case "", "base", "reduce", "barrier":
-	case "pipeline":
-		if err := model.CheckSegments(req.Segments); err != nil {
-			return err
-		}
-	case "wan":
+	var cm model.CostModel
+	if req.Model == "wan" {
 		if req.WAN == nil {
-			return fmt.Errorf("model \"wan\" needs a \"wan\" generator spec")
+			return nil, fmt.Errorf("model \"wan\" needs a \"wan\" generator spec")
 		}
 		if req.N != 0 || req.K != 0 || req.MaxSend != 0 || req.Latency != 0 ||
 			req.RatioMin != 0 || req.RatioMax != 0 {
-			return fmt.Errorf("the cluster generator parameters (n, k, max_send, latency, ratio_min, ratio_max) do not apply to model \"wan\"; size the instance via the \"wan\" spec")
+			return nil, fmt.Errorf("the cluster generator parameters (n, k, max_send, latency, ratio_min, ratio_max) do not apply to model \"wan\"; size the instance via the \"wan\" spec")
 		}
-	default:
-		return fmt.Errorf("unknown model %q (want base, wan, pipeline, reduce or barrier)", req.Model)
+	} else {
+		var err error
+		if cm, err = model.ByName(req.Model, req.Segments); err != nil {
+			return nil, err
+		}
+		if req.Model == "pipeline" {
+			if err := model.CheckSegments(req.Segments); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if req.Perturbed > 0 && req.Model != "" && req.Model != "base" {
-		return fmt.Errorf("perturbed rescoring supports the base model only, not %q", req.Model)
+		return nil, fmt.Errorf("perturbed rescoring supports the base model only, not %q", req.Model)
 	}
-	return nil
-}
-
-// uniformModel returns the sweep-wide cost model, nil for the base model
-// and for "wan" (whose matrices are per-instance). Call after
-// validateModel.
-func (req *SweepRequest) uniformModel() model.CostModel {
-	switch req.Model {
-	case "pipeline":
-		return &model.PipelineModel{Segments: req.Segments}
-	case "reduce":
-		return &model.ReduceModel{}
-	case "barrier":
-		return &model.BarrierModel{}
-	}
-	return nil
+	return cm, nil
 }
 
 // SweepResult aggregates a finished sweep.
@@ -241,7 +231,13 @@ func (b boundedSolver) Schedule(set *model.MulticastSet) (*model.Schedule, error
 	return b.Solver.Schedule(set)
 }
 
+// fill defaults the cluster generator's size. A WAN sweep is sized by its
+// spec and sweepModel rejects these fields on it, so they stay unset there
+// and the request a job echoes can be submitted again.
 func (req *SweepRequest) fill() {
+	if req.Model == "wan" {
+		return
+	}
 	if req.N == 0 {
 		req.N = 16
 	}
@@ -254,7 +250,8 @@ func (req *SweepRequest) fill() {
 // sweep goroutine. It fails if the request is invalid or the store is
 // full of still-running jobs.
 func (js *jobStore) start(req SweepRequest) (Job, error) {
-	if err := req.validateModel(); err != nil {
+	cm, err := req.sweepModel()
+	if err != nil {
 		return Job{}, err
 	}
 	req.fill()
@@ -291,7 +288,6 @@ func (js *jobStore) start(req SweepRequest) (Job, error) {
 		return Job{}, fmt.Errorf("jitter %v outside [0, 1)", req.Jitter)
 	}
 	var schedulers []model.Scheduler
-	var err error
 	switch req.Model {
 	case "", "base":
 		schedulers, err = registry.Select(req.Schedulers, req.Seed)
@@ -315,7 +311,7 @@ func (js *jobStore) start(req SweepRequest) (Job, error) {
 		// matrix, which differs per trial anyway.
 		schedulers, err = registry.SelectFor(req.Schedulers, req.Seed, &model.LinkModel{})
 	default:
-		schedulers, err = registry.SelectFor(req.Schedulers, req.Seed, req.uniformModel())
+		schedulers, err = registry.SelectFor(req.Schedulers, req.Seed, cm)
 	}
 	if err != nil {
 		return Job{}, err
@@ -340,7 +336,7 @@ func (js *jobStore) start(req SweepRequest) (Job, error) {
 
 	expSweepsStarted.Add(1)
 	js.wg.Add(1)
-	go js.run(st, req, schedulers, workers)
+	go js.run(st, req, cm, schedulers, workers)
 	return job, nil
 }
 
@@ -357,7 +353,7 @@ func (js *jobStore) evictFinishedLocked() bool {
 	return false
 }
 
-func (js *jobStore) run(st *jobState, req SweepRequest, schedulers []model.Scheduler, workers int) {
+func (js *jobStore) run(st *jobState, req SweepRequest, cm model.CostModel, schedulers []model.Scheduler, workers int) {
 	defer js.wg.Done()
 	defer expSweepsFinished.Add(1)
 	sweep := batch.Sweep{
@@ -373,7 +369,7 @@ func (js *jobStore) run(st *jobState, req SweepRequest, schedulers []model.Sched
 			})
 		},
 		Schedulers: schedulers,
-		Model:      req.uniformModel(),
+		Model:      cm,
 		Trials:     req.Trials,
 		Workers:    workers,
 		Perturbed:  req.Perturbed,

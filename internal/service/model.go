@@ -85,14 +85,7 @@ func resolveInstance(p ModelParams, raw json.RawMessage) (*model.MulticastSet, r
 	if p.Model != "wan" && (p.Lat != nil || p.WAN != nil) {
 		return nil, resolvedModel{}, fmt.Errorf("\"lat\" and \"wan\" apply to model \"wan\" only")
 	}
-	switch p.Model {
-	case "", "base":
-		set, err := decodeSet(raw)
-		if err != nil {
-			return nil, resolvedModel{}, err
-		}
-		return Canonicalize(set), resolvedModel{}, nil
-	case "wan":
+	if p.Model == "wan" {
 		var set *model.MulticastSet
 		var lat [][]int64
 		switch {
@@ -122,31 +115,26 @@ func resolveInstance(p ModelParams, raw json.RawMessage) (*model.MulticastSet, r
 			return nil, resolvedModel{}, err
 		}
 		return canon, resolvedModel{cm: cm, key: "wan:" + latDigest(lat)}, nil
-	case "pipeline":
-		set, err := decodeSet(raw)
-		if err != nil {
-			return nil, resolvedModel{}, err
-		}
-		cm := &model.PipelineModel{Segments: p.Segments}
-		if err := cm.Validate(set); err != nil {
-			return nil, resolvedModel{}, err
-		}
-		return Canonicalize(set), resolvedModel{cm: cm, key: "pipe:" + strconv.Itoa(p.Segments)}, nil
-	case "reduce":
-		set, err := decodeSet(raw)
-		if err != nil {
-			return nil, resolvedModel{}, err
-		}
-		return Canonicalize(set), resolvedModel{cm: &model.ReduceModel{}, key: "reduce"}, nil
-	case "barrier":
-		set, err := decodeSet(raw)
-		if err != nil {
-			return nil, resolvedModel{}, err
-		}
-		return Canonicalize(set), resolvedModel{cm: &model.BarrierModel{}, key: "barrier"}, nil
-	default:
-		return nil, resolvedModel{}, fmt.Errorf("unknown model %q (want base, wan, pipeline, reduce or barrier)", p.Model)
 	}
+	cm, err := model.ByName(p.Model, p.Segments)
+	if err != nil {
+		return nil, resolvedModel{}, err
+	}
+	set, err := decodeSet(raw)
+	if err != nil {
+		return nil, resolvedModel{}, err
+	}
+	if cm == nil {
+		return Canonicalize(set), resolvedModel{}, nil
+	}
+	if err := cm.Validate(set); err != nil {
+		return nil, resolvedModel{}, err
+	}
+	key := cm.Name()
+	if p.Model == "pipeline" {
+		key = "pipe:" + strconv.Itoa(p.Segments)
+	}
+	return Canonicalize(set), resolvedModel{cm: cm, key: key}, nil
 }
 
 // canonicalizeWAN strips names and normalizes the embedded scalar latency

@@ -211,8 +211,9 @@ func TestRenderModelJSONOnly(t *testing.T) {
 	}
 }
 
-// TestSweepUnderModels runs a pipelined sweep and a WAN sweep end to end
-// and checks the model-validation rejections.
+// TestSweepUnderModels runs a pipelined sweep and a WAN sweep end to end,
+// resubmits the WAN job's echoed request, and checks the
+// model-validation rejections.
 func TestSweepUnderModels(t *testing.T) {
 	svc, ts := newTestServer(t, Config{})
 
@@ -254,6 +255,11 @@ func TestSweepUnderModels(t *testing.T) {
 	}
 	if job.Result == nil || job.Result.Errors != 0 || len(job.Result.Summaries) != 2 {
 		t.Fatalf("wan sweep result: %+v", job.Result)
+	}
+	// The request a job echoes carries no cluster-generator defaults,
+	// which the WAN validation rejects, so it can be submitted again.
+	if resp, body := post(t, ts.URL+"/v1/sweeps", job.Request); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmitted wan sweep: HTTP %d: %s", resp.StatusCode, body)
 	}
 
 	for name, req := range map[string]SweepRequest{
