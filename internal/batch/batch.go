@@ -134,7 +134,8 @@ type Sweep struct {
 	SchedulersFor func(cm model.CostModel) ([]model.Scheduler, error)
 	// Trials is the number of instances.
 	Trials int
-	// Workers caps the worker pool; 0 means GOMAXPROCS.
+	// Workers caps the worker pool; 0, or more than GOMAXPROCS, means
+	// GOMAXPROCS.
 	Workers int
 
 	// Perturbed, when positive, additionally scores every scheduler's
@@ -208,8 +209,11 @@ func (s Sweep) Run() ([]Result, error) {
 		}
 		names[sc.Name()] = true
 	}
+	// Trials are CPU-bound, so more workers than cores never helps, and
+	// the count can arrive from the network (/v1/sweeps' workers field):
+	// clamp it before sizing any per-worker state.
 	workers := s.Workers
-	if workers <= 0 {
+	if workers <= 0 || workers > runtime.GOMAXPROCS(0) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > s.Trials {

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/cluster"
@@ -42,6 +45,29 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(serial[i].RT, parallel[i].RT) {
 			t.Fatalf("trial %d differs between 1 and 8 workers:\n%v\n%v", i, serial[i].RT, parallel[i].RT)
 		}
+	}
+}
+
+// TestRunClampsWorkers: a Workers count above GOMAXPROCS runs at most
+// GOMAXPROCS trials at once.
+func TestRunClampsWorkers(t *testing.T) {
+	var running, peak atomic.Int64
+	s := testSweep(64)
+	s.Trials = 64
+	gen := s.Gen
+	s.Gen = func(i int) (*model.MulticastSet, error) {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(2 * time.Millisecond)
+		running.Add(-1)
+		return gen(i)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := peak.Load(), int64(runtime.GOMAXPROCS(0)); got > limit {
+		t.Errorf("%d trials ran at once with Workers=64, want at most GOMAXPROCS=%d", got, limit)
 	}
 }
 

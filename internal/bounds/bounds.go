@@ -1,5 +1,5 @@
-// Package bounds implements the approximation-bound machinery of Section 3
-// of the paper (Theorem 1 and Lemma 3).
+// Package bounds implements the approximation bound of Section 3 of the
+// paper (Theorem 1).
 //
 // Theorem 1: for a multicast set with receive-send ratios bounded in
 // [amin, amax] and receiving-overhead spread beta, the greedy algorithm's
@@ -7,17 +7,17 @@
 //
 //	2 * ceil(amax)/amin * OPT_R + beta.
 //
-// The proof constructs a rounded instance S' (sending overheads rounded up
-// to powers of two, receiving overheads set to ceil(amax) times the rounded
-// sending overhead) on which Lemma 3's exchange transformation converts any
-// schedule into a layered one without increasing the delivery completion
-// time. Both constructions are implemented here and verified directly by
-// the test suite; the harness uses Bound to compare greedy against the
-// theoretical guarantee.
+// Params carries the constants of an instance and Params.Bound evaluates
+// the guarantee; hnowd, hnowsched, the experiments and the examples use it
+// to compare greedy against the theory. The proof's devices live in this
+// package's tests, which build and check them directly: the rounded
+// instance S' (sending overheads rounded up to powers of two, receiving
+// overheads set to ceil(amax) times them) and Lemma 3's exchange
+// transformation, which layers any schedule on S' without increasing its
+// delivery completion time.
 package bounds
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/model"
@@ -48,53 +48,4 @@ func ParamsOf(set *model.MulticastSet) Params {
 // completion time: greedy RT < C*optR + beta.
 func (p Params) Bound(optR int64) float64 {
 	return p.C*float64(optR) + float64(p.Beta)
-}
-
-// RoundUp builds the rounded instance S' from the Theorem 1 proof: each
-// node's sending overhead becomes the smallest power of two at least its
-// original value, and its receiving overhead becomes ceil(amax) times the
-// new sending overhead. The returned set node-wise dominates the input
-// (osend' >= osend, orecv' >= orecv) and has a constant integer
-// receive-send ratio, the precondition of Lemma 3.
-func RoundUp(set *model.MulticastSet) *model.MulticastSet {
-	rs := set.Ratios()
-	c := int64(math.Ceil(rs.AlphaMax))
-	if c < 1 {
-		c = 1
-	}
-	out := set.Clone()
-	for i := range out.Nodes {
-		s := nextPow2(out.Nodes[i].Send)
-		out.Nodes[i].Send = s
-		out.Nodes[i].Recv = c * s
-	}
-	return out
-}
-
-// ConstantRatio returns the common integer receive-send ratio of the set,
-// or an error if the ratio is not a uniform integer. Lemma 3 requires
-// orecv(p) = C * osend(p) for every node.
-func ConstantRatio(set *model.MulticastSet) (int64, error) {
-	if len(set.Nodes) == 0 {
-		return 0, fmt.Errorf("bounds: empty set")
-	}
-	first := set.Nodes[0]
-	if first.Recv%first.Send != 0 {
-		return 0, fmt.Errorf("bounds: node 0 ratio %d/%d not integer", first.Recv, first.Send)
-	}
-	c := first.Recv / first.Send
-	for i, n := range set.Nodes {
-		if n.Recv != c*n.Send {
-			return 0, fmt.Errorf("bounds: node %d breaks the constant ratio %d (send=%d recv=%d)", i, c, n.Send, n.Recv)
-		}
-	}
-	return c, nil
-}
-
-func nextPow2(v int64) int64 {
-	p := int64(1)
-	for p < v {
-		p <<= 1
-	}
-	return p
 }

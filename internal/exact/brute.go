@@ -19,12 +19,6 @@ func BruteForceRT(set *model.MulticastSet) (int64, error) {
 	return rt, err
 }
 
-// BruteForceSchedule returns an optimal schedule found by exhaustive
-// branch-and-bound enumeration.
-func BruteForceSchedule(set *model.MulticastSet) (*model.Schedule, int64, error) {
-	return bruteForce(set, true)
-}
-
 func bruteForce(set *model.MulticastSet, wantSchedule bool) (*model.Schedule, int64, error) {
 	if err := set.Validate(); err != nil {
 		return nil, 0, err

@@ -411,9 +411,9 @@ func TestBruteForceLimits(t *testing.T) {
 
 func TestBruteForceScheduleIsOptimal(t *testing.T) {
 	set := figure1Set(t)
-	sch, rt, err := BruteForceSchedule(set)
+	sch, rt, err := bruteForce(set, true)
 	if err != nil {
-		t.Fatalf("BruteForceSchedule: %v", err)
+		t.Fatalf("bruteForce: %v", err)
 	}
 	if rt != 8 {
 		t.Errorf("RT = %d, want 8", rt)

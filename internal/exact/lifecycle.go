@@ -8,7 +8,7 @@ import "sync"
 // tables carry the same bookkeeping with a nil region, so callers never
 // branch on the load path.
 //
-// The protocol: the creator (OpenTableMapped, BuildTable, ReadTable…)
+// The protocol: the creator (OpenTableMapped, BuildTable, ReadTableBytes…)
 // owns the table. Ownership transfers by convention (e.g. into a cache);
 // the final owner calls Close. Concurrent borrowers — a lookup racing an
 // eviction — bracket access with Retain/Release. The unmap happens on

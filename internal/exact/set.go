@@ -109,7 +109,7 @@ var _ model.Scheduler = Solver{}
 // Table is a fully materialized optimal-schedule table for a network: the
 // constant-time lookup structure Theorem 2's closing remark describes. It
 // is safe for concurrent lookups once built. Tables come from BuildTable
-// (a fresh DP fill), from ReadTable (a persisted fill loaded back from
+// (a fresh DP fill), from ReadTableBytes (a persisted fill loaded back from
 // disk) or from OpenTableMapped (the value array aliases a
 // read-only mmap of the file); all are bit-identical by construction.
 //

@@ -57,7 +57,7 @@ var ErrBadTable = errors.New("invalid table file")
 const (
 	tableMagic = "HNOWTBL\x00"
 	// TableFormatVersion is the on-disk format version WriteTo emits and
-	// ReadTable accepts. Files with any other version are rejected.
+	// ReadTableBytes accepts. Files with any other version are rejected.
 	TableFormatVersion = 2
 	// maxTableTypes bounds the type count a file header may claim, so a
 	// corrupt header cannot demand absurd allocations before validation.
@@ -200,7 +200,7 @@ func parseTableHeader(data []byte) (*DP, int, error) {
 // TableHeader is the network identity a table file declares: enough to
 // decide whether the table covers a multicast without touching the
 // payload. Header-only reads cannot verify the checksum — treat the
-// result as a routing hint and let a full ReadTable validate before
+// result as a routing hint and let a full ReadTableBytes validate before
 // trusting any values.
 type TableHeader struct {
 	Latency int64
@@ -313,17 +313,6 @@ func readTableBytes(data []byte) (*Table, error) {
 	// filled, so the fill that would need them never runs.
 	dp.filled = true
 	return &Table{dp: dp}, nil
-}
-
-// ReadTable reads a table in the WriteTo format from r. The stream is
-// buffered in full; prefer ReadTableBytes with a mapped or pre-read buffer
-// when the caller already holds the file contents.
-func ReadTable(r io.Reader) (*Table, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("exact: reading table: %w", err)
-	}
-	return ReadTableBytes(data)
 }
 
 // WriteTableFile atomically persists the table at path: it writes a

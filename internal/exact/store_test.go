@@ -32,9 +32,9 @@ func roundTrip(t *testing.T, table *Table) *Table {
 	if got, want := table.SizeBytes(), 8*table.States(); !table.Mapped() && got != want {
 		t.Fatalf("heap table SizeBytes = %d, want 8·states = %d", got, want)
 	}
-	got, err := ReadTable(bytes.NewReader(buf.Bytes()))
+	got, err := ReadTableBytes(buf.Bytes())
 	if err != nil {
-		t.Fatalf("ReadTable: %v", err)
+		t.Fatalf("ReadTableBytes: %v", err)
 	}
 	return got
 }

@@ -18,7 +18,7 @@ type Breaker struct {
 	cooldown  time.Duration
 	failures  int
 	openUntil time.Time
-	now       func() time.Time // injectable for tests
+	now       func() time.Time // time.Now; tests replace it
 }
 
 // Defaults used when NewBreaker is given non-positive parameters.
@@ -38,13 +38,6 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 		cooldown = DefaultBreakerCooldown
 	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
-}
-
-// SetClock replaces the breaker's time source (tests).
-func (b *Breaker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	b.now = now
-	b.mu.Unlock()
 }
 
 // Allow reports whether a request to the peer may proceed. While the
@@ -81,11 +74,4 @@ func (b *Breaker) Failure() {
 		b.openUntil = b.now().Add(b.cooldown)
 	}
 	b.mu.Unlock()
-}
-
-// Open reports whether the circuit is currently refusing requests.
-func (b *Breaker) Open() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.failures >= b.threshold && b.now().Before(b.openUntil)
 }

@@ -102,10 +102,17 @@ func TestRingEmptyAndContains(t *testing.T) {
 	}
 }
 
+// Open reports whether the circuit is currently refusing requests.
+func (b *Breaker) Open() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.failures >= b.threshold && b.now().Before(b.openUntil)
+}
+
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	now := time.Unix(1000, 0)
 	b := NewBreaker(3, time.Second)
-	b.SetClock(func() time.Time { return now })
+	b.now = func() time.Time { return now }
 
 	for i := 0; i < 3; i++ {
 		if !b.Allow() {
@@ -136,7 +143,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(2, time.Second)
-	b.SetClock(func() time.Time { return now })
+	b.now = func() time.Time { return now }
 	b.Failure()
 	b.Failure()
 	now = now.Add(2 * time.Second)

@@ -149,20 +149,3 @@ func Run(sch *model.Schedule, cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
-
-// Validate compares a live result against the analytic times, requiring
-// every measured reception to be at least the analytic value (sleeps can
-// only run long) and the completion within slack of the prediction.
-// Returns a descriptive error on violation.
-func Validate(sch *model.Schedule, res *Result, slackFactor float64) error {
-	tm := model.ComputeTimes(sch)
-	for v := 1; v < len(tm.Reception); v++ {
-		if res.Reception[v]+1e-6 < float64(tm.Reception[v])*0.999 {
-			return fmt.Errorf("live: node %d finished at %.2f units, before the analytic %d", v, res.Reception[v], tm.Reception[v])
-		}
-	}
-	if res.RT > float64(tm.RT)*slackFactor {
-		return fmt.Errorf("live: measured RT %.2f exceeds analytic %d by more than %.2fx", res.RT, tm.RT, slackFactor)
-	}
-	return nil
-}

@@ -23,7 +23,7 @@ import "fmt"
 // Usage: Attach builds (or rebuilds, reusing every buffer) the shape
 // mirror and fills every lane with the nominal costs of the attached
 // set; SetLane overrides one lane's costs; EvalAll scores all lanes;
-// RTs/DTs/LaneTimesInto read the results. The zero value is ready for
+// RTs and LaneTimesInto read the results. The zero value is ready for
 // use. A BatchEngine is not safe for concurrent use.
 type BatchEngine struct {
 	treeShape // flat structure, indexed by position (BFS layer order)
@@ -77,9 +77,6 @@ func (e *BatchEngine) Attach(sch *Schedule, lanes int) {
 	}
 }
 
-// Lanes returns the attached lane count.
-func (e *BatchEngine) Lanes() int { return e.lanes }
-
 // SetLane overrides lane b's costs with per-node vectors indexed by
 // NodeID: sendC[v] and recvC[v] are v's overheads and latC[v] the latency
 // of every transmission v originates (the sender pays latency, mirroring
@@ -116,8 +113,8 @@ func (e *BatchEngine) SetLane(b int, sendC, recvC, latC []int64) {
 // SetLanes overrides every lane's costs in one position-major pass:
 // sendCs[b], recvCs[b] and latCs[b] are lane b's per-NodeID vectors with
 // SetLane's semantics (the sender pays latency; a nil vector keeps that
-// lane's current values). Each outer slice must have exactly Lanes()
-// entries. Per-lane SetLane calls write each row at a lanes-sized stride
+// lane's current values). Each outer slice must have one entry per
+// attached lane. Per-lane SetLane calls write each row at a lanes-sized stride
 // — one cache line per element; filling position-major instead makes the
 // row writes sequential while the (small) draw vectors stay cache
 // resident, which is what keeps the fill half of the batch path at
@@ -189,19 +186,9 @@ func (e *BatchEngine) EvalAll() {
 	}
 }
 
-// RT returns lane b's reception completion time (valid after EvalAll).
-func (e *BatchEngine) RT(b int) int64 { return e.rts[b] }
-
-// DT returns lane b's delivery completion time (valid after EvalAll).
-func (e *BatchEngine) DT(b int) int64 { return e.dts[b] }
-
 // RTs returns the per-lane reception completion times as a shared slice
 // (valid after EvalAll, invalidated by the next Attach or EvalAll).
 func (e *BatchEngine) RTs() []int64 { return e.rts[:e.lanes] }
-
-// DTs returns the per-lane delivery completion times as a shared slice
-// (valid after EvalAll, invalidated by the next Attach or EvalAll).
-func (e *BatchEngine) DTs() []int64 { return e.dts[:e.lanes] }
 
 // LaneTimesInto writes lane b's times into tm in node index order,
 // exactly as ComputeTimesInto would produce them for a schedule with that

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// RT returns lane b's reception completion time (valid after EvalAll).
+func (e *BatchEngine) RT(b int) int64 { return e.rts[b] }
+
+// DT returns lane b's delivery completion time (valid after EvalAll).
+func (e *BatchEngine) DT(b int) int64 { return e.dts[b] }
+
+// DTs returns the per-lane delivery completion times as a shared slice
+// (valid after EvalAll, invalidated by the next Attach or EvalAll).
+func (e *BatchEngine) DTs() []int64 { return e.dts[:e.lanes] }
+
 // refLaneTimes is the scalar oracle for a single lane: the model
 // recurrences walked recursively on the schedule with per-node cost
 // vectors, including a per-sender latency (which BatchEngine supports but

@@ -31,19 +31,6 @@ type Instance struct {
 	Costs []int64
 }
 
-// New validates and builds an instance.
-func New(costs []int64) (*Instance, error) {
-	if len(costs) == 0 {
-		return nil, fmt.Errorf("nodemodel: no nodes")
-	}
-	for i, c := range costs {
-		if c <= 0 {
-			return nil, fmt.Errorf("nodemodel: node %d has non-positive cost %d", i, c)
-		}
-	}
-	return &Instance{Costs: append([]int64(nil), costs...)}, nil
-}
-
 // FromReceiveSend projects a receive-send instance onto the node model by
 // keeping only the sending overheads (the receiving overheads and latency
 // are invisible to this model).

@@ -1,12 +1,26 @@
 package nodemodel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
 )
+
+// New validates and builds an instance.
+func New(costs []int64) (*Instance, error) {
+	if len(costs) == 0 {
+		return nil, fmt.Errorf("nodemodel: no nodes")
+	}
+	for i, c := range costs {
+		if c <= 0 {
+			return nil, fmt.Errorf("nodemodel: node %d has non-positive cost %d", i, c)
+		}
+	}
+	return &Instance{Costs: append([]int64(nil), costs...)}, nil
+}
 
 func randInstance(rng *rand.Rand, n int) *Instance {
 	costs := make([]int64, n+1)

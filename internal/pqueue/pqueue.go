@@ -37,15 +37,6 @@ func (q *PQ) Push(value int, key int64) {
 	q.up(len(q.heap) - 1)
 }
 
-// Peek returns the minimum item without removing it. ok is false if the
-// queue is empty.
-func (q *PQ) Peek() (it Item, ok bool) {
-	if len(q.heap) == 0 {
-		return Item{}, false
-	}
-	return q.heap[0], true
-}
-
 // Pop removes and returns the minimum item in O(log n). Ties on Key pop in
 // insertion order. ok is false if the queue is empty.
 func (q *PQ) Pop() (it Item, ok bool) {

@@ -16,9 +16,6 @@ func TestEmpty(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Error("Pop on empty queue returned ok")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue returned ok")
-	}
 }
 
 func TestOrdering(t *testing.T) {
@@ -55,19 +52,6 @@ func TestTieBreakInsertionOrder(t *testing.T) {
 		if it.Value != w {
 			t.Fatalf("tie-break order wrong: got %d, want %d", it.Value, w)
 		}
-	}
-}
-
-func TestPeekDoesNotRemove(t *testing.T) {
-	q := New(2)
-	q.Push(1, 4)
-	q.Push(2, 3)
-	it, ok := q.Peek()
-	if !ok || it.Value != 2 || it.Key != 3 {
-		t.Fatalf("Peek = %+v, %v", it, ok)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Peek removed an item: Len = %d", q.Len())
 	}
 }
 

@@ -28,9 +28,11 @@ package service
 // transport-level failures, and a per-peer circuit breaker. When the
 // owner is unreachable the replica falls back to local computation
 // (counted in fallback_builds) — the fleet degrades to independent
-// daemons rather than failing requests. Membership change is a ring
-// rebuild (Server.SetPeers): non-owners keep serving already-cached
-// tables, and new owners backfill on first request.
+// daemons rather than failing requests. Membership is static per
+// process: the ring is built once in newFleetState and never changes. A
+// membership change is a restart with the new peer list; a former owner
+// keeps serving the tables in its spill, and new owners backfill on first
+// request.
 
 import (
 	"bytes"
@@ -100,9 +102,9 @@ type fleetState struct {
 	brkThreshold int
 	brkCooldown  time.Duration
 	client       *http.Client
+	ring         *fleet.Ring // immutable after newFleetState
 
-	mu       sync.RWMutex
-	ring     *fleet.Ring
+	mu       sync.Mutex // guards breakers
 	breakers map[string]*fleet.Breaker
 
 	ownerHits, peerFetches, fallbackBuilds, peerErrors atomic.Int64
@@ -133,34 +135,13 @@ func newFleetState(cfg Config) *fleetState {
 	return f
 }
 
-// setMembers rebuilds the ring over the given peer list (self is always a
-// member). Breakers for removed peers are dropped; surviving peers keep
-// their failure history.
-func (f *fleetState) setMembers(peers []string) {
-	r := fleet.NewRing(append(append([]string{}, peers...), f.self))
-	f.mu.Lock()
-	f.ring = r
-	for addr := range f.breakers {
-		if !r.Contains(addr) {
-			delete(f.breakers, addr)
-		}
-	}
-	f.mu.Unlock()
-}
-
 // route returns the owner of key and whether this replica is it.
 func (f *fleetState) route(key string) (owner string, self bool) {
-	f.mu.RLock()
 	owner = f.ring.Owner(key)
-	f.mu.RUnlock()
 	return owner, owner == f.self || owner == ""
 }
 
-func (f *fleetState) info() fleet.RingInfo {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.ring.Info(f.self)
-}
+func (f *fleetState) info() fleet.RingInfo { return f.ring.Info(f.self) }
 
 func (f *fleetState) breakerFor(addr string) *fleet.Breaker {
 	f.mu.Lock()
@@ -287,18 +268,7 @@ func NetworkKey(set *model.MulticastSet) (string, error) {
 	return networkKey(inst.Set.Latency, inst.Types, inst.Counts), nil
 }
 
-// SetPeers rebuilds the membership ring over the given peer list (self is
-// always included). Ownership handoff is graceful by construction:
-// non-owners keep serving tables already in their cache or spill, and a
-// key's new owner backfills through its normal build path on first
-// request.
-func (s *Server) SetPeers(peers []string) {
-	if s.fleet != nil {
-		s.fleet.setMembers(peers)
-	}
-}
-
-// RingInfo returns the current membership as advertised on
+// RingInfo returns the membership as advertised on
 // GET /v1/fleet/ring. Zero value when fleet mode is off.
 func (s *Server) RingInfo() fleet.RingInfo {
 	if s.fleet == nil {
@@ -324,16 +294,6 @@ func (s *Server) FleetStats() FleetStats {
 // TableBuilds reports how many DP table fills this server has run — the
 // per-replica number behind the fleet's "one build per key" guarantee.
 func (s *Server) TableBuilds() int64 { return s.tables.builds.Load() }
-
-// SpillIndexSize reports how many networks this server's spill index
-// knows about (0 without a table dir). Peer-ingested tables are indexed
-// immediately, not only on restart.
-func (s *Server) SpillIndexSize() int {
-	if s.tables.index == nil {
-		return 0
-	}
-	return s.tables.index.size()
-}
 
 // handleFleetRing serves GET /v1/fleet/ring.
 func (s *Server) handleFleetRing(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,9 +22,13 @@ import (
 
 // testFleet is an in-process multi-replica cluster: every replica is a
 // real Server behind a real httptest listener, with its own temp spill
-// dir, all agreeing on the membership ring.
+// dir, all agreeing on the membership ring. Each listener serves
+// whichever Server live holds, so restart can replace a replica's Server
+// while its URL stays.
 type testFleet struct {
 	svcs []*Server
+	cfgs []Config
+	live []atomic.Pointer[Server]
 	ts   []*httptest.Server
 	urls []string
 }
@@ -36,7 +41,7 @@ func startFleet(t *testing.T, n int, mut func(i int, cfg *Config)) *testFleet {
 		ts[i] = httptest.NewUnstartedServer(nil)
 		urls[i] = "http://" + ts[i].Listener.Addr().String()
 	}
-	f := &testFleet{ts: ts, urls: urls, svcs: make([]*Server, n)}
+	f := &testFleet{ts: ts, urls: urls, svcs: make([]*Server, n), cfgs: make([]Config, n), live: make([]atomic.Pointer[Server], n)}
 	for i := range ts {
 		cfg := Config{
 			Self:                 urls[i],
@@ -49,8 +54,12 @@ func startFleet(t *testing.T, n int, mut func(i int, cfg *Config)) *testFleet {
 			mut(i, &cfg)
 		}
 		svc := New(cfg)
-		f.svcs[i] = svc
-		ts[i].Config.Handler = svc.Handler()
+		f.svcs[i], f.cfgs[i] = svc, cfg
+		f.live[i].Store(svc)
+		live := &f.live[i]
+		ts[i].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			live.Load().Handler().ServeHTTP(w, r)
+		})
 		ts[i].Start()
 	}
 	t.Cleanup(func() {
@@ -60,6 +69,18 @@ func startFleet(t *testing.T, n int, mut func(i int, cfg *Config)) *testFleet {
 		}
 	})
 	return f
+}
+
+// restart replaces replica i's Server with a new one over the same table
+// dir and the given peer list, as restarting hnowd with a new -peers list
+// does. The replica keeps its URL.
+func (f *testFleet) restart(i int, peers []string) {
+	cfg := f.cfgs[i]
+	cfg.Peers = peers
+	svc := New(cfg)
+	f.live[i].Store(svc)
+	f.svcs[i].Close()
+	f.svcs[i], f.cfgs[i] = svc, cfg
 }
 
 // ownerIndex returns which replica owns the set's network key.
@@ -130,7 +151,7 @@ func TestFleetSingleBuildPerKey(t *testing.T) {
 		if i == owner {
 			continue
 		}
-		if n := f.svcs[i].SpillIndexSize(); n != 0 {
+		if n := f.svcs[i].tables.index.size(); n != 0 {
 			t.Fatalf("replica %d spill index has %d entries before any request", i, n)
 		}
 		got := warmTable(t, f.urls[i], set)
@@ -142,7 +163,7 @@ func TestFleetSingleBuildPerKey(t *testing.T) {
 		}
 		// Satellite: peer-ingested tables enter the spill index (and its
 		// expvar) immediately, the same path CLI drop-ins use.
-		if n := f.svcs[i].SpillIndexSize(); n != 1 {
+		if n := f.svcs[i].tables.index.size(); n != 1 {
 			t.Errorf("replica %d spill index has %d entries after peer ingest, want 1", i, n)
 		}
 	}
@@ -335,9 +356,11 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	}
 }
 
-// TestFleetMembershipHandoff: removing the owner from the ring moves the
-// key to a new owner, which backfills with its own build on first
-// request; the old owner keeps serving its cached copy until evicted.
+// TestFleetMembershipHandoff: a membership change is a restart of every
+// replica with the new peer list over the same table dirs. Once the old
+// owner is dropped from the list, the key's new owner backfills with its
+// own build on first request, and the old owner serves its spilled copy
+// without rebuilding.
 func TestFleetMembershipHandoff(t *testing.T) {
 	f := startFleet(t, 3, nil)
 	set := fleetSet(t, 21)
@@ -347,24 +370,23 @@ func TestFleetMembershipHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warmTable(t, f.urls[oldOwner], set) // old owner builds and caches
+	warmTable(t, f.urls[oldOwner], set) // old owner builds and spills
 	if f.totalBuilds() != 1 {
 		t.Fatalf("setup: want 1 build, got %d", f.totalBuilds())
 	}
 
-	// Rebuild every ring without the old owner (it is being drained).
+	// Restart every replica with the survivors' list. The old owner is
+	// being drained: it is restarted with the same list, owns nothing on
+	// the survivors' rings, and keeps serving what it has spilled.
 	var survivors []string
 	for i, u := range f.urls {
 		if i != oldOwner {
 			survivors = append(survivors, u)
 		}
 	}
-	for _, s := range f.svcs {
-		s.SetPeers(survivors)
+	for i := range f.svcs {
+		f.restart(i, survivors)
 	}
-	// Note the old owner is told the new membership too: it no longer
-	// owns anything, but keeps serving what it has.
-	f.svcs[oldOwner].SetPeers(survivors)
 
 	newOwner := -1
 	newOwnerURL := fleet.NewRing(survivors).Owner(key)
@@ -377,7 +399,7 @@ func TestFleetMembershipHandoff(t *testing.T) {
 		t.Fatalf("handoff resolved to replica %d", newOwner)
 	}
 
-	// Ring endpoint reflects the rebuild.
+	// The ring endpoint shows the new membership.
 	resp, body := get(t, f.urls[newOwner]+"/v1/fleet/ring")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET ring: HTTP %d", resp.StatusCode)
@@ -387,12 +409,12 @@ func TestFleetMembershipHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(info.Members) != 2 {
-		t.Fatalf("ring still has %d members after handoff", len(info.Members))
+		t.Fatalf("ring has %d members after the restart, want 2", len(info.Members))
 	}
 
 	// A request on the third replica routes to the NEW owner, which
 	// backfills (second fleet-wide build — the old owner's copy is not
-	// reachable through the ring anymore).
+	// reachable through the survivors' ring).
 	third := 3 - oldOwner - newOwner
 	got := warmTable(t, f.urls[third], set)
 	if got.Cache != TableCachePeer {
@@ -402,13 +424,13 @@ func TestFleetMembershipHandoff(t *testing.T) {
 		t.Errorf("new owner should have backfilled with 1 build, got %d", f.svcs[newOwner].TableBuilds())
 	}
 
-	// The old owner still serves its cached copy locally (grace: cached
-	// tables outlive ownership until evicted).
+	// The old owner serves its spilled copy: spilled tables outlive
+	// ownership and restarts.
 	old := warmTable(t, f.urls[oldOwner], set)
-	if old.Cache != TableCacheHit {
-		t.Errorf("old owner post-handoff: cache=%q, want hit from its surviving cache", old.Cache)
+	if old.Cache != TableCacheDisk {
+		t.Errorf("old owner post-handoff: cache=%q, want disk from its spill", old.Cache)
 	}
-	if f.svcs[oldOwner].TableBuilds() != 1 {
+	if f.svcs[oldOwner].TableBuilds() != 0 {
 		t.Errorf("old owner must not rebuild after handoff, builds=%d", f.svcs[oldOwner].TableBuilds())
 	}
 }

@@ -12,12 +12,13 @@ import (
 )
 
 // FuzzHTTPRequests sends fuzzed JSON bodies through the whole handler to
-// /v1/schedule and /v1/compare: decode, validate, canonicalize, schedule,
-// score, encode. Neither endpoint may panic or answer anything but 200,
-// 400 or 422. A 200 schedule must decode through the trace codec onto
-// the request's canonical instance and re-evaluate under the request's
-// model to exactly the reported rt/dt, with rt at least the lower bound;
-// a 200 compare must report no rt below its lower bound.
+// /v1/schedule, /v1/compare and /v1/render: decode, validate,
+// canonicalize, schedule, score, encode or render (the body picks the
+// render format and width). No endpoint may panic or answer anything but
+// 200, 400 or 422. A 200 schedule must decode through the trace codec
+// onto the request's canonical instance and re-evaluate under the
+// request's model to exactly the reported rt/dt, with rt at least the
+// lower bound; a 200 compare must report no rt below its lower bound.
 func FuzzHTTPRequests(f *testing.F) {
 	const base = `{"latency":1,"nodes":[{"send":2,"recv":3},{"send":1,"recv":1},{"send":1,"recv":1},{"send":3,"recv":4}]}`
 	for _, body := range []string{
@@ -29,6 +30,9 @@ func FuzzHTTPRequests(f *testing.F) {
 		`{"model":"pipeline","segments":3,"set":` + base + `}`,
 		`{"model":"reduce","set":` + base + `}`,
 		`{"model":"barrier","set":` + base + `}`,
+		`{"format":"dot","set":` + base + `}`,
+		`{"format":"gantt","width":1001,"set":` + base + `}`,
+		`{"format":"gantt","set":{"latency":1000000000000000,"nodes":[{"send":2,"recv":3},{"send":1,"recv":1},{"send":1,"recv":1}]}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -47,7 +51,7 @@ func FuzzHTTPRequests(f *testing.F) {
 		if len(body) > 2048 {
 			t.Skip("body over 2 KiB")
 		}
-		for _, path := range []string{"/v1/schedule", "/v1/compare"} {
+		for _, path := range []string{"/v1/schedule", "/v1/compare", "/v1/render"} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			switch rec.Code {
@@ -57,9 +61,10 @@ func FuzzHTTPRequests(f *testing.F) {
 			default:
 				t.Fatalf("%s: HTTP %d for %q: %s", path, rec.Code, body, rec.Body)
 			}
-			if path == "/v1/schedule" {
+			switch path {
+			case "/v1/schedule":
 				checkScheduleResponse(t, body, rec.Body.Bytes())
-			} else {
+			case "/v1/compare":
 				checkCompareResponse(t, body, rec.Body.Bytes())
 			}
 		}

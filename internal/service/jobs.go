@@ -45,7 +45,8 @@ type SweepRequest struct {
 	// Schedulers selects algorithms by registry name; empty means every
 	// polynomial-time scheduler.
 	Schedulers []string `json:"schedulers,omitempty"`
-	// Workers caps the batch worker pool; 0 uses the server default.
+	// Workers caps the batch worker pool; 0 uses the server default, and
+	// a count above GOMAXPROCS runs GOMAXPROCS workers.
 	Workers int `json:"workers,omitempty"`
 	// Perturbed, when positive, additionally rescores every scheduler's
 	// tree under this many drawn cost perturbations per instance (batched

@@ -213,10 +213,15 @@ type RenderRequest struct {
 	// text renderers draw base-model timings, so a non-base model allows
 	// "json" only.
 	Format string `json:"format,omitempty"`
-	// Width caps gantt columns (default 100).
+	// Width caps gantt columns (default 100, at most MaxRenderWidth; a
+	// larger width is a 400).
 	Width int `json:"width,omitempty"`
 	ModelParams
 }
+
+// MaxRenderWidth caps RenderRequest.Width. A gantt row is up to Width+1
+// bytes per node, so the cap bounds the body a request can make.
+const MaxRenderWidth = 1000
 
 type apiError struct {
 	Error string `json:"error"`
@@ -479,6 +484,10 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Format == "" {
 		req.Format = "tree"
+	}
+	if req.Width > MaxRenderWidth {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("width %d exceeds the cap of %d columns", req.Width, MaxRenderWidth))
+		return
 	}
 	canon, rm, err := resolveInstance(req.ModelParams, req.Set)
 	if err != nil {

@@ -408,6 +408,21 @@ func TestRenderFormats(t *testing.T) {
 	}
 }
 
+// TestRenderWidthCap: a gantt width up to MaxRenderWidth renders, and a
+// larger one is a 400 that names the field.
+func TestRenderWidthCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	set := rawSet(t, genSet(t, 6, 2))
+	resp, body := post(t, ts.URL+"/v1/render", RenderRequest{Set: set, Format: "gantt", Width: MaxRenderWidth})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("width %d: HTTP %d: %s", MaxRenderWidth, resp.StatusCode, body)
+	}
+	resp, body = post(t, ts.URL+"/v1/render", RenderRequest{Set: set, Format: "gantt", Width: MaxRenderWidth + 1})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "width") {
+		t.Errorf("width %d: HTTP %d: %s, want a 400 naming width", MaxRenderWidth+1, resp.StatusCode, body)
+	}
+}
+
 func TestSweepNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/sweeps/sweep-999")

@@ -174,10 +174,3 @@ func (ix *spillIndex) remove(key string) {
 	}
 	ix.mu.Unlock()
 }
-
-// size reports how many networks the index knows about.
-func (ix *spillIndex) size() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.entries)
-}

@@ -15,6 +15,13 @@ import (
 	"repro/internal/model"
 )
 
+// size reports how many networks the index knows about.
+func (ix *spillIndex) size() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.entries)
+}
+
 // spillSet returns a small two-type network whose latency parameterizes
 // distinct networks (and therefore distinct spill files).
 func spillSet(t testing.TB, latency int64) *model.MulticastSet {

@@ -338,13 +338,6 @@ func (c *tableCache) evictLocked() {
 	}
 }
 
-// put inserts a table built outside resolve (tests).
-func (c *tableCache) put(key string, t *exact.Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, t)
-}
-
 // lookupSet answers a multicast from any cached table that covers it (the
 // constant-time path for /v1/compare's exact optimum). Every candidate is
 // borrowed for the duration of its lookup, so a concurrent eviction

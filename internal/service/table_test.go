@@ -18,6 +18,13 @@ import (
 	"repro/internal/model"
 )
 
+// put inserts a table built outside resolve.
+func (c *tableCache) put(key string, t *exact.Table) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, t)
+}
+
 func tableTestSet(t *testing.T) *model.MulticastSet {
 	t.Helper()
 	fast := model.Node{Send: 1, Recv: 1}

@@ -68,31 +68,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Ints converts an int64 sample for Summarize.
-func Ints(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of positive observations; zero if the
-// sample is empty or contains non-positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Table accumulates rows and renders them with aligned columns, suitable
 // for the experiment harness output.
 type Table struct {

@@ -78,22 +78,6 @@ func TestPercentileMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestIntsAndGeoMean(t *testing.T) {
-	xs := Ints([]int64{2, 8})
-	if len(xs) != 2 || xs[0] != 2 || xs[1] != 8 {
-		t.Errorf("Ints = %v", xs)
-	}
-	if g := GeoMean(xs); math.Abs(g-4) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 4", g)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty GeoMean should be 0")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("non-positive GeoMean should be 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value", "ratio")
 	tb.AddRow("greedy", 42, 1.0)

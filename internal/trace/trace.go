@@ -29,10 +29,7 @@ func Gantt(sch *model.Schedule, maxWidth int) string {
 	if span == 0 {
 		return "(empty schedule)\n"
 	}
-	scale := int64(1)
-	for span/scale > int64(maxWidth) {
-		scale++
-	}
+	scale := columnScale(span, maxWidth)
 	var b strings.Builder
 	fmt.Fprintf(&b, "time units per column: %d, completion RT=%d DT=%d\n", scale, tm.RT, tm.DT)
 	width := int(span/scale) + 1
@@ -58,6 +55,14 @@ func Gantt(sch *model.Schedule, maxWidth int) string {
 		fmt.Fprintf(&b, "%3d %-8s |%s| r=%d\n", v, name, string(row), tm.Reception[v])
 	}
 	return b.String()
+}
+
+// columnScale returns the smallest number of time units per column that
+// fits span in maxWidth columns: the least scale with span/scale <=
+// maxWidth. It is computed in closed form, since a search for it takes
+// O(span/maxWidth) steps, hours for a large latency.
+func columnScale(span int64, maxWidth int) int64 {
+	return span/(int64(maxWidth)+1) + 1
 }
 
 // DOT renders the schedule as a Graphviz digraph; edge labels carry the

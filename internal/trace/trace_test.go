@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -47,6 +48,53 @@ func TestGantt(t *testing.T) {
 	small := Gantt(sch, 5)
 	if !strings.Contains(small, "time units per column: 2") {
 		t.Errorf("rescaled Gantt header wrong:\n%s", small)
+	}
+}
+
+// TestColumnScaleMatchesSearch checks the closed form against the
+// search it replaced: the least scale with span/scale <= maxWidth.
+func TestColumnScaleMatchesSearch(t *testing.T) {
+	search := func(span int64, maxWidth int) int64 {
+		scale := int64(1)
+		for span/scale > int64(maxWidth) {
+			scale++
+		}
+		return scale
+	}
+	for span := int64(1); span <= 600; span++ {
+		for w := 1; w <= 120; w++ {
+			if got, want := columnScale(span, w), search(span, w); got != want {
+				t.Fatalf("columnScale(%d, %d) = %d, want %d", span, w, got, want)
+			}
+		}
+	}
+}
+
+// TestGanttLargeLatency renders a chart whose completion time is near
+// 3e15: a search for the column scale would take about 3e13 steps.
+func TestGanttLargeLatency(t *testing.T) {
+	const L = 1_000_000_000_000_000
+	set, err := model.NewMulticastSet(L, model.Node{Send: 1, Recv: 1}, model.Node{Send: 2, Recv: 3}, model.Node{Send: 1, Recv: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := model.NewSchedule(set)
+	sch.MustAddChild(0, 1)
+	sch.MustAddChild(1, 2)
+	rt := model.RT(sch)
+	g := Gantt(sch, 0)
+	lines := strings.Split(strings.TrimSpace(g), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("Gantt has %d lines, want 4:\n%s", len(lines), g)
+	}
+	if want := fmt.Sprintf("time units per column: %d,", rt/101+1); !strings.HasPrefix(lines[0], want) {
+		t.Errorf("header %q, want prefix %q", lines[0], want)
+	}
+	for _, row := range lines[1:] {
+		i, j := strings.IndexByte(row, '|'), strings.LastIndexByte(row, '|')
+		if j-i-1 > 101 {
+			t.Errorf("row has %d columns, want at most 101: %q", j-i-1, row)
+		}
 	}
 }
 
