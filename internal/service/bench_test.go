@@ -14,7 +14,7 @@ import (
 
 // The service hot paths through a real HTTP server. The schedule hit
 // benchmark measures pure cache-serving throughput (canonicalize + key +
-// LRU lookup + response encoding); the schedule miss benchmarks measure
+// LRU lookup + response write); the schedule miss benchmarks measure
 // full plan computation at two instance sizes; the compare miss
 // benchmark plans every registry scheduler on a fresh network. Run:
 //
@@ -64,6 +64,8 @@ func postSchedule(b *testing.B, url string, body []byte, wantCache string) {
 	}
 }
 
+// BenchmarkScheduleCacheHit serves one warmed plan per op: the response
+// is written around the cached schedule bytes verbatim, not re-encoded.
 func BenchmarkScheduleCacheHit(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

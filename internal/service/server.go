@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/batch"
 	"repro/internal/bounds"
@@ -135,9 +138,6 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// CacheStats snapshots the plan-cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
 // Close cancels outstanding sweep jobs and waits for their goroutines to
 // exit. The Handler stays usable (jobs started after Close fail fast).
 func (s *Server) Close() {
@@ -180,7 +180,9 @@ type ScheduleResponse struct {
 	LowerBound int64    `json:"lower_bound"`
 	Theorem1   Theorem1 `json:"theorem1"`
 	// Schedule is the plan in the trace codec's schedule encoding, on the
-	// canonical (destination-sorted, unnamed) instance.
+	// canonical (destination-sorted, unnamed) instance. hnowd writes the
+	// plan cache's stored bytes here verbatim, so this field keeps the
+	// codec's indentation inside an otherwise compact body.
 	Schedule json.RawMessage `json:"schedule"`
 }
 
@@ -227,12 +229,81 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as compact JSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
+}
+
+// writeSchedule writes r as writeJSON would, except that r.Schedule is
+// copied verbatim: hnowd made those bytes itself through
+// trace.MarshalTimes, so a plan-cache hit re-validates and re-encodes
+// nothing. Outside the schedule the body is byte-identical to
+// encoding/json's.
+func writeSchedule(w http.ResponseWriter, r *ScheduleResponse) {
+	b := appendScheduleResponse(make([]byte, 0, 320+len(r.Algo)+len(r.Key)+len(r.Schedule)), r)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
+}
+
+// appendScheduleResponse appends writeSchedule's body for r to b.
+func appendScheduleResponse(b []byte, r *ScheduleResponse) []byte {
+	b = append(b, `{"algo":`...)
+	b = appendJSONString(b, r.Algo)
+	b = append(b, `,"key":`...)
+	b = appendJSONString(b, r.Key)
+	b = append(b, `,"cache":`...)
+	b = appendJSONString(b, r.Cache)
+	b = append(b, `,"rt":`...)
+	b = strconv.AppendInt(b, r.RT, 10)
+	b = append(b, `,"dt":`...)
+	b = strconv.AppendInt(b, r.DT, 10)
+	b = append(b, `,"lower_bound":`...)
+	b = strconv.AppendInt(b, r.LowerBound, 10)
+	b = append(b, `,"theorem1":{"alpha_min":`...)
+	b = appendJSONFloat(b, r.Theorem1.AlphaMin)
+	b = append(b, `,"alpha_max":`...)
+	b = appendJSONFloat(b, r.Theorem1.AlphaMax)
+	b = append(b, `,"beta":`...)
+	b = strconv.AppendInt(b, r.Theorem1.Beta, 10)
+	b = append(b, `,"c":`...)
+	b = appendJSONFloat(b, r.Theorem1.C)
+	b = append(b, `},"schedule":`...)
+	b = append(b, r.Schedule...)
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Keys and
+// registry names need no escape; anything else takes encoding/json's own
+// path.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64. Theorem 1's
+// constants are finite: the instance's overheads are positive integers.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		// encoding/json writes e-07 as e-7.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -379,7 +450,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ScheduleResponse{
+	writeSchedule(w, &ScheduleResponse{
 		Algo:       p.Algo,
 		Key:        key,
 		Cache:      cacheLabel(hit),
@@ -485,6 +556,12 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if req.Format == "" {
 		req.Format = "tree"
 	}
+	switch req.Format {
+	case "tree", "gantt", "dot", "svg", "json":
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want tree, gantt, dot, svg or json)", req.Format))
+		return
+	}
 	if req.Width > MaxRenderWidth {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("width %d exceeds the cap of %d columns", req.Width, MaxRenderWidth))
 		return
@@ -516,7 +593,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 	var body, contentType string
 	switch req.Format {
-	case "tree", "":
+	case "tree":
 		body, contentType = trace.Tree(sch), "text/plain; charset=utf-8"
 	case "gantt":
 		body, contentType = trace.Gantt(sch, req.Width), "text/plain; charset=utf-8"
@@ -524,9 +601,6 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		body, contentType = trace.DOT(sch), "text/vnd.graphviz"
 	case "svg":
 		body, contentType = trace.SVG(sch), "image/svg+xml"
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want tree, gantt, dot, svg or json)", req.Format))
-		return
 	}
 	w.Header().Set("Content-Type", contentType)
 	fmt.Fprint(w, body)
