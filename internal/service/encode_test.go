@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -204,9 +203,9 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
 // TestWriteScheduleVerbatimAllocs: a plan-cache hit's body carries the
-// stored schedule bytes as they are (any encoding/json path would compact
-// their indentation), and writing it costs the body buffer and the two
-// header values: 4 allocations.
+// stored schedule bytes as they are, and writing it costs the body buffer
+// and the two header values: 4 allocations. An encoding/json pass over
+// the schedule would cost more.
 func TestWriteScheduleVerbatimAllocs(t *testing.T) {
 	set := genSet(t, 64, 1)
 	sch, err := registry.LookupFor("greedy+leafrev", 0, nil)
@@ -229,7 +228,7 @@ func TestWriteScheduleVerbatimAllocs(t *testing.T) {
 		t.Errorf("writeSchedule: %v allocations per response, want at most 4", allocs)
 	}
 	body := appendScheduleResponse(nil, r)
-	if !strings.Contains(string(body), "\n  ") || !bytes.HasSuffix(body, append(js, "}\n"...)) {
+	if !bytes.HasSuffix(body, append(js, "}\n"...)) {
 		t.Errorf("schedule not written verbatim:\n%.300s", body)
 	}
 }

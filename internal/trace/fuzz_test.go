@@ -9,7 +9,7 @@ import (
 
 // FuzzUnmarshalJSON hardens the schedule decoder against malformed input:
 // it must never panic, and anything it accepts must be a valid schedule
-// that re-encodes losslessly, to the same bytes as the json.MarshalIndent
+// that re-encodes losslessly, to the same bytes as the json.Marshal
 // reference encoder.
 func FuzzUnmarshalJSON(f *testing.F) {
 	fast := model.Node{Send: 1, Recv: 1}
@@ -50,7 +50,7 @@ func FuzzUnmarshalJSON(f *testing.F) {
 			t.Fatalf("reference encode failed: %v", err)
 		}
 		if !bytes.Equal(out, want) {
-			t.Fatalf("encoding differs from MarshalIndent\ngot:\n%s\nwant:\n%s", out, want)
+			t.Fatalf("encoding differs from json.Marshal\ngot:\n%s\nwant:\n%s", out, want)
 		}
 		back, err := UnmarshalJSON(out)
 		if err != nil {

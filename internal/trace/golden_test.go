@@ -11,10 +11,10 @@ import (
 )
 
 // This file keeps the reflection-based schedule encoder as a test-only
-// oracle: build the jsonSchedule value and hand it to json.MarshalIndent.
-// The hand-written appendJSON must reproduce its bytes exactly.
+// oracle: build the jsonSchedule value and hand it to json.Marshal. The
+// hand-written appendJSON must reproduce its bytes exactly.
 
-// marshalJSONReference is the json.MarshalIndent encoding of a schedule.
+// marshalJSONReference is the json.Marshal encoding of a schedule.
 func marshalJSONReference(sch *model.Schedule) ([]byte, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err
@@ -35,15 +35,15 @@ func marshalJSONReference(sch *model.Schedule) ([]byte, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	js.Meta = &jsonTiming{RT: tm.RT, DT: tm.DT}
-	return json.MarshalIndent(js, "", "  ")
+	return json.Marshal(js)
 }
 
-// marshalSetJSONReference is the json.MarshalIndent encoding of a set.
+// marshalSetJSONReference is the json.Marshal encoding of a set.
 func marshalSetJSONReference(set *model.MulticastSet) ([]byte, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(setJSONReference(set), "", "  ")
+	return json.Marshal(setJSONReference(set))
 }
 
 func setJSONReference(set *model.MulticastSet) jsonSchedule {
@@ -92,7 +92,7 @@ func goldenSchedule(t *testing.T, rng *rand.Rand, trial int) *model.Schedule {
 }
 
 // TestMarshalJSONGolden pins MarshalJSON and MarshalSetJSON to the
-// json.MarshalIndent encoding of the same value, byte for byte.
+// json.Marshal encoding of the same value, byte for byte.
 func TestMarshalJSONGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(20001))
 	for trial := 0; trial < 600; trial++ {
@@ -106,7 +106,7 @@ func TestMarshalJSONGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: MarshalJSON differs from MarshalIndent\ngot:\n%s\nwant:\n%s", trial, got, want)
+			t.Fatalf("trial %d: MarshalJSON differs from json.Marshal\ngot:\n%s\nwant:\n%s", trial, got, want)
 		}
 		got, err = MarshalSetJSON(sch.Set)
 		if err != nil {
@@ -117,12 +117,12 @@ func TestMarshalJSONGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: MarshalSetJSON differs from MarshalIndent\ngot:\n%s\nwant:\n%s", trial, got, want)
+			t.Fatalf("trial %d: MarshalSetJSON differs from json.Marshal\ngot:\n%s\nwant:\n%s", trial, got, want)
 		}
 	}
 	// A set without nodes never passes validation, but the layout still
 	// has its null form.
-	want, err := json.MarshalIndent(jsonSchedule{Latency: 3}, "", "  ")
+	want, err := json.Marshal(jsonSchedule{Latency: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
