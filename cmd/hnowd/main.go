@@ -107,10 +107,17 @@ func main() {
 		handler = mux
 		log.Printf("hnowd: pprof profiling enabled at /debug/pprof/")
 	}
+	// ReadTimeout bounds reading a whole request, body included (bodies
+	// are capped at service.MaxRequestBytes), so a slow client cannot hold
+	// a connection open by trickling bytes. IdleTimeout is explicit: left
+	// zero, net/http would close idle keep-alive connections at
+	// ReadTimeout.
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

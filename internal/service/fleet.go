@@ -313,7 +313,7 @@ func (s *Server) handleFleetTablePost(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("fleet mode disabled"))
 		return
 	}
-	req, inst, got, ok := decodeTableRequest(w, r)
+	req, inst, got, ok := s.decodeTableRequest(w, r)
 	if !ok {
 		return
 	}

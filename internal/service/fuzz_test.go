@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -15,11 +16,13 @@ import (
 // /v1/schedule, /v1/compare and /v1/render: decode, validate,
 // canonicalize, schedule, score, encode or render (the body picks the
 // render format and width). No endpoint may panic or answer anything but
-// 200, 400 or 422. A 200 schedule must decode through the trace codec
+// 200, 400, 413 or 422, and a 413 only for a body over the server's cap,
+// lowered here to 2 KiB. A 200 schedule must decode through the trace codec
 // onto the request's canonical instance and re-evaluate under the
 // request's model to exactly the reported rt/dt, with rt at least the
 // lower bound; a 200 compare must report no rt below its lower bound.
 func FuzzHTTPRequests(f *testing.F) {
+	const fuzzMaxRequestBytes = 2 << 10
 	const base = `{"latency":1,"nodes":[{"send":2,"recv":3},{"send":1,"recv":1},{"send":1,"recv":1},{"send":3,"recv":4}]}`
 	for _, body := range []string{
 		`{"set":` + base + `}`,
@@ -33,6 +36,7 @@ func FuzzHTTPRequests(f *testing.F) {
 		`{"format":"dot","set":` + base + `}`,
 		`{"format":"gantt","width":1001,"set":` + base + `}`,
 		`{"format":"gantt","set":{"latency":1000000000000000,"nodes":[{"send":2,"recv":3},{"send":1,"recv":1},{"send":1,"recv":1}]}}`,
+		`{"set":` + base + strings.Repeat(" ", fuzzMaxRequestBytes) + `}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -44,12 +48,13 @@ func FuzzHTTPRequests(f *testing.F) {
 	f.Add(overflow)
 	svc := New(Config{CacheSize: 256, TableMemBytes: 16 << 20})
 	defer svc.Close()
+	// Instance size is bounded by the body here; the cap keeps each input
+	// to a few dozen nodes so the smoke run covers many shapes.
+	svc.maxRequestBytes = fuzzMaxRequestBytes
 	h := svc.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// Instance size is bounded by the body here; keep each input to a
-		// few dozen nodes so the smoke run covers many shapes.
-		if len(body) > 2048 {
-			t.Skip("body over 2 KiB")
+		if len(body) > 2*fuzzMaxRequestBytes {
+			t.Skip("body over twice the cap")
 		}
 		for _, path := range []string{"/v1/schedule", "/v1/compare", "/v1/render"} {
 			rec := httptest.NewRecorder()
@@ -57,6 +62,11 @@ func FuzzHTTPRequests(f *testing.F) {
 			switch rec.Code {
 			case http.StatusOK:
 			case http.StatusBadRequest, http.StatusUnprocessableEntity:
+				continue
+			case http.StatusRequestEntityTooLarge:
+				if len(body) <= fuzzMaxRequestBytes {
+					t.Fatalf("%s: HTTP 413 for a %d-byte body under the cap: %s", path, len(body), rec.Body)
+				}
 				continue
 			default:
 				t.Fatalf("%s: HTTP %d for %q: %s", path, rec.Code, body, rec.Body)

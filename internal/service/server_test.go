@@ -425,6 +425,30 @@ func TestRenderWidthCap(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: every POST endpoint reads at most MaxRequestBytes.
+// A body of exactly the cap is admitted; one byte more is a 413 that
+// names the cap.
+func TestRequestBodyCap(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	h := svc.Handler()
+	head := `{"set":` + string(rawSet(t, genSet(t, 6, 2)))
+	for _, path := range []string{"/v1/schedule", "/v1/compare", "/v1/render", "/v1/table", "/v1/sweeps"} {
+		for _, size := range []int{MaxRequestBytes, MaxRequestBytes + 1} {
+			body := head + strings.Repeat(" ", size-len(head)-1) + "}"
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			over := size > MaxRequestBytes
+			if got := rec.Code == http.StatusRequestEntityTooLarge; got != over {
+				t.Errorf("%s, %d-byte body: HTTP %d: %.200s", path, size, rec.Code, rec.Body)
+			}
+			if over && !strings.Contains(rec.Body.String(), fmt.Sprint(MaxRequestBytes)) {
+				t.Errorf("%s: 413 does not name the cap: %s", path, rec.Body)
+			}
+		}
+	}
+}
+
 func TestSweepNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/sweeps/sweep-999")

@@ -504,8 +504,8 @@ func (c *tableCache) getOrBuild(inst *exact.Instance, workers int) (*exact.Table
 // build-and-stream POST): the request, its analyzed canonical instance
 // and the instance's network key. On failure it has written the 400 or
 // 422 and ok is false.
-func decodeTableRequest(w http.ResponseWriter, r *http.Request) (req TableRequest, inst *exact.Instance, key string, ok bool) {
-	if !decodeRequest(w, r, &req) {
+func (s *Server) decodeTableRequest(w http.ResponseWriter, r *http.Request) (req TableRequest, inst *exact.Instance, key string, ok bool) {
+	if !s.decodeRequest(w, r, &req) {
 		return req, nil, "", false
 	}
 	set, err := decodeSet(req.Set)
@@ -531,7 +531,7 @@ func (s *Server) fillWorkers(parallelism int) int {
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	req, inst, key, ok := decodeTableRequest(w, r)
+	req, inst, key, ok := s.decodeTableRequest(w, r)
 	if !ok {
 		return
 	}
