@@ -531,19 +531,25 @@ func runEngineSuite(out string, cpus []int) error {
 			}
 		}})
 	}
+	for _, n := range []int{64, 256} {
+		ls, err := heurSetN(n)
+		if err != nil {
+			return err
+		}
+		cases = append(cases, benchCase{name: fmt.Sprintf("local_search_engine_n%d", n), fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (heur.LocalSearch{MaxRounds: 10}).Schedule(ls); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}})
+	}
 	hs, err := heurSet()
 	if err != nil {
 		return err
 	}
 	cases = append(cases,
-		benchCase{name: "local_search_engine_n64", fn: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := (heur.LocalSearch{MaxRounds: 10}).Schedule(hs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		benchCase{name: "annealing_engine_n64", fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -13,8 +13,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/pqueue"
@@ -123,43 +124,43 @@ func ReverseLeaves(sch *model.Schedule) (*model.Schedule, error) {
 	}
 	tm := model.ComputeTimes(sch)
 	// Slots in increasing delivery time; occupants are the current leaves.
-	slots := append([]model.NodeID(nil), leaves...)
-	sort.Slice(slots, func(i, j int) bool {
-		a, b := slots[i], slots[j]
-		if tm.Delivery[a] != tm.Delivery[b] {
-			return tm.Delivery[a] < tm.Delivery[b]
+	// Both orders break ties by ID, so each is a strict total order and
+	// the permutation does not depend on the sort algorithm.
+	slots := slices.Clone(leaves)
+	slices.SortFunc(slots, func(a, b model.NodeID) int {
+		if c := cmp.Compare(tm.Delivery[a], tm.Delivery[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	// Leaves in decreasing receiving overhead.
-	byRecv := append([]model.NodeID(nil), leaves...)
+	byRecv := leaves
 	set := sch.Set
-	sort.Slice(byRecv, func(i, j int) bool {
-		a, b := byRecv[i], byRecv[j]
-		if set.Nodes[a].Recv != set.Nodes[b].Recv {
-			return set.Nodes[a].Recv > set.Nodes[b].Recv
+	slices.SortFunc(byRecv, func(a, b model.NodeID) int {
+		if c := cmp.Compare(set.Nodes[b].Recv, set.Nodes[a].Recv); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	// Desired occupant of slot i is byRecv[i]. Realize the permutation
 	// with swaps; every involved node is a leaf so swaps are cheap and
-	// keep the tree valid.
-	pos := make(map[model.NodeID]int, len(slots)) // node -> current slot index
-	occupant := append([]model.NodeID(nil), slots...)
-	for i, v := range occupant {
-		pos[v] = i
+	// keep the tree valid. slot[v] is leaf v's current slot index.
+	slot := make([]int32, len(set.Nodes))
+	for i, v := range slots {
+		slot[v] = int32(i)
 	}
+	occupant := slots
 	for i, want := range byRecv {
 		cur := occupant[i]
 		if cur == want {
 			continue
 		}
-		j := pos[want]
+		j := slot[want]
 		if err := sch.SwapNodes(cur, want); err != nil {
 			return nil, fmt.Errorf("core: ReverseLeaves: %w", err)
 		}
 		occupant[i], occupant[j] = want, cur
-		pos[want], pos[cur] = i, j
+		slot[want], slot[cur] = int32(i), j
 	}
 	return sch, nil
 }

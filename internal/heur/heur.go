@@ -61,6 +61,13 @@ func (l LocalSearch) Name() string { return "local-search" }
 // scan order is applied, exactly the first-improvement rule of the
 // mutate-and-undo loop this replaces, so results are bit-identical to it
 // (pinned by the parity suite).
+//
+// Before scoring, every candidate asks Engine.Pinned whether it leaves
+// the reception time of some node attaining RT unchanged. Such a move
+// cannot make RT strictly smaller, so it is skipped unscored; it would
+// never have been accepted, and the trees stay bit-identical to the
+// unpruned scan. Nearly every move of a search that has reached its local
+// optimum is of this kind.
 func (l LocalSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 	cm := l.Model
 	base := l.Base
@@ -84,24 +91,30 @@ func (l LocalSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) 
 	} else {
 		sch.BindModel(cm)
 	}
-	// Under a type-symmetric model swapping two same-type occupants cannot
-	// change any time, so those pairs are pruned before evaluation; the
-	// link model's latency terms break that symmetry.
+	// Under a type-symmetric model swapping two occupants with equal
+	// overheads cannot change any time, so those pairs are pruned before
+	// evaluation; the link model's latency terms break that symmetry.
 	skipSame := model.IsBase(cm) || cm.TypeSymmetric()
 	var eng model.Engine
 	eng.Attach(sch)
-	n := len(set.Nodes)
+	nodes := set.Nodes
+	n := len(nodes)
 	scan := firstImprover{eng: &eng, cur: eng.RT()}
 	for round := 0; round < rounds; round++ {
 		// Move 1: swap tree positions of destination pairs.
 		scan.reset()
 	swaps:
 		for a := 1; a < n; a++ {
+			na := nodes[a]
 			for b := a + 1; b < n; b++ {
-				if skipSame && set.Nodes[a] == set.Nodes[b] {
-					continue // same type: swap cannot change times
+				if skipSame && na.Send == nodes[b].Send && na.Recv == nodes[b].Recv {
+					continue // same overheads: swap cannot change times
 				}
-				if scan.push(model.SwapMove(a, b)) {
+				mv := model.SwapMove(a, b)
+				if eng.Pinned(mv) {
+					continue // keeps a critical reception: cannot improve
+				}
+				if scan.push(mv) {
 					break swaps
 				}
 			}
@@ -123,15 +136,20 @@ func (l LocalSearch) Schedule(set *model.MulticastSet) (*model.Schedule, error) 
 			if !sch.IsLeaf(leaf) {
 				continue
 			}
+			parent := sch.Parent(leaf)
 			for p := 0; p < n; p++ {
 				target := model.NodeID(p)
-				if p == v || target == sch.Parent(leaf) {
+				if p == v || target == parent {
+					continue
+				}
+				mv := model.RelocateMove(leaf, target)
+				if eng.Pinned(mv) {
 					continue
 				}
 				if p != 0 && sch.Parent(target) == -1 {
 					continue
 				}
-				if scan.push(model.RelocateMove(leaf, target)) {
+				if scan.push(mv) {
 					break relocs
 				}
 			}
@@ -231,7 +249,7 @@ func (a Annealing) Name() string { return "annealing" }
 func (a Annealing) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 	iters := a.Iters
 	if iters <= 0 {
-		iters = 2000
+		iters = defaultAnnealIters
 	}
 	seed := a.Seed
 	if seed == 0 {
@@ -294,9 +312,8 @@ func (a Annealing) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 		rt := float64(rtInt)
 		accept := rt <= cur
 		if !accept {
-			// Only an uphill move reads the temperature, so math.Pow runs
-			// here rather than on every proposal.
-			temp := t0 * math.Pow(0.995, float64(i))
+			// Only an uphill move reads the temperature.
+			temp := t0 * cooling(i)
 			if temp < 1e-3 {
 				temp = 1e-3
 			}
@@ -320,6 +337,27 @@ func (a Annealing) Schedule(set *model.MulticastSet) (*model.Schedule, error) {
 		return nil, fmt.Errorf("heur: annealing corrupted the schedule: %w", err)
 	}
 	return best, nil
+}
+
+// defaultAnnealIters is Annealing's default proposal count.
+const defaultAnnealIters = 2000
+
+// coolingTable[i] is 0.995^i, computed by math.Pow, for every proposal of
+// a default-length annealing run.
+var coolingTable = func() (t [defaultAnnealIters]float64) {
+	for i := range t {
+		t[i] = math.Pow(0.995, float64(i))
+	}
+	return t
+}()
+
+// cooling returns the cooling factor 0.995^i of proposal i, bit-identical
+// to math.Pow(0.995, float64(i)).
+func cooling(i int) float64 {
+	if i < len(coolingTable) {
+		return coolingTable[i]
+	}
+	return math.Pow(0.995, float64(i))
 }
 
 var (

@@ -1,6 +1,8 @@
 package heur
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -201,13 +203,20 @@ func TestLocalSearchSmallEdgeCases(t *testing.T) {
 	}
 }
 
-func BenchmarkLocalSearch64(b *testing.B) {
-	set := genSet(b, 64, 11)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (LocalSearch{MaxRounds: 10}).Schedule(set); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkLocalSearch runs the search end to end at the service's
+// n=64 shape and at the larger sizes a per-algorithm size cap is drawn
+// from.
+func BenchmarkLocalSearch(b *testing.B) {
+	for _, n := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			set := genSet(b, n, 11)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (LocalSearch{MaxRounds: 10}).Schedule(set); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -312,5 +321,16 @@ func TestBeamSearchDeterministic(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Error("beam search not deterministic")
+	}
+}
+
+// TestCoolingMatchesPow pins Annealing's cooling table to math.Pow bit
+// for bit, on both sides of the table's end.
+func TestCoolingMatchesPow(t *testing.T) {
+	for i := 0; i < defaultAnnealIters+100; i++ {
+		got, want := cooling(i), math.Pow(0.995, float64(i))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("cooling(%d) = %v, math.Pow gives %v", i, got, want)
+		}
 	}
 }

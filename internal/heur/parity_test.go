@@ -63,6 +63,36 @@ func TestLocalSearchParityWithReference(t *testing.T) {
 	}
 }
 
+// TestLocalSearchParityAtServiceShape pins the parity at the shape the
+// service's compare benchmark draws: cluster networks of 64 destinations
+// and 3 workstation types, under the base model and the pipeline rows,
+// the two cost models of that benchmark under which the search prunes.
+// The base search improves on its greedy+leafrev start in draws 5 and 18
+// only; the pipeline search improves in all four.
+func TestLocalSearchParityAtServiceShape(t *testing.T) {
+	for _, trial := range []int64{0, 1, 5, 18} {
+		set, err := cluster.Generate(cluster.GenConfig{N: 64, K: 3, SourceType: -1, Seed: trial*7919 + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cm := range []model.CostModel{nil, &model.PipelineModel{Segments: 4}} {
+			ls := LocalSearch{Model: cm}
+			got, err := ls.Schedule(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := localSearchReference(ls, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d (model %v): engine local search diverged from reference\nengine    %s\nreference %s",
+					trial, cm, got, want)
+			}
+		}
+	}
+}
+
 // TestAnnealingParityWithReference pins the engine-backed Annealing to
 // the pre-engine loop: the proposal and acceptance sequences must consume
 // the RNG identically, so the final trees match exactly across seeds.

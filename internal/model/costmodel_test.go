@@ -87,7 +87,8 @@ func sameTimes(t *testing.T, what string, got, want *Times) {
 // FuzzCostModelEngine drives random schedules bound to fuzzer-chosen cost
 // models through move sequences, pinning the engine — Eval's move
 // predictions, CommitSwap's incremental state, and TimesInto after
-// re-attach — bit-identically to the from-scratch refEval at every step.
+// re-attach — bit-identically to the from-scratch refEval at every step,
+// and checks that no move Pinned reports lowers RT.
 // This is the seam the heuristics stand on when they optimize WAN,
 // pipelined or collective objectives.
 func FuzzCostModelEngine(f *testing.F) {
@@ -149,6 +150,9 @@ func FuzzCostModelEngine(f *testing.F) {
 			evalDT, evalRT := eng.Eval(mv)
 			if evalRT != out[0] {
 				t.Fatalf("Eval %d vs EvalMoves %d for %v", evalRT, out[0], mv)
+			}
+			if eng.Pinned(mv) && evalRT < eng.RT() {
+				t.Fatalf("%s %v on %q is pinned but lowers RT %d to %d", kindName(mv.Kind), mv, cm.Name(), eng.RT(), evalRT)
 			}
 			// Apply the move as the heuristics do and pin the engine's
 			// prediction to the reference evaluation of the mutated tree.
@@ -267,6 +271,42 @@ func TestEngineMatchesEvalIntoPerModel(t *testing.T) {
 	}
 }
 
+// randPartialSchedule attaches destinations 1..keep-1, each under a
+// uniformly drawn node attached before it, and returns the schedule with
+// its attached nodes in attachment order.
+func randPartialSchedule(rng *rand.Rand, set *MulticastSet, keep int) (*Schedule, []NodeID) {
+	sch := NewSchedule(set)
+	attached := []NodeID{0}
+	for v := 1; v < keep; v++ {
+		sch.MustAddChild(attached[rng.Intn(len(attached))], v)
+		attached = append(attached, v)
+	}
+	return sch, attached
+}
+
+// attachedMoves lists every swap of two attached destinations and every
+// relocation of an attached leaf under another attached node, its own
+// parent included (the relocation to the tail of its own children).
+func attachedMoves(sch *Schedule, attached []NodeID) []Move {
+	var moves []Move
+	for i, a := range attached[1:] {
+		for _, b := range attached[i+2:] {
+			moves = append(moves, SwapMove(a, b))
+		}
+	}
+	for _, v := range attached[1:] {
+		if !sch.IsLeaf(v) {
+			continue
+		}
+		for _, p := range attached {
+			if p != v {
+				moves = append(moves, RelocateMove(v, p))
+			}
+		}
+	}
+	return moves
+}
+
 // TestEvalMovesMatchesEvalIntoPerModel scores whole neighborhoods under
 // every model in both forms — all swaps, and every leaf relocation
 // including one back to the tail of its own parent — and pins each
@@ -281,34 +321,14 @@ func TestEvalMovesMatchesEvalIntoPerModel(t *testing.T) {
 		set := randIncrSet(rng, 2+rng.Intn(16))
 		n := len(set.Nodes)
 		cm := pickModel(rng, byte(rng.Intn(256)), n)
-		sch := NewSchedule(set)
-		attached := []NodeID{0}
 		keep := n
 		if trial%3 == 0 {
 			keep = 2 + rng.Intn(n-1)
 		}
-		for v := 1; v < keep; v++ {
-			sch.MustAddChild(attached[rng.Intn(len(attached))], v)
-			attached = append(attached, v)
-		}
+		sch, attached := randPartialSchedule(rng, set, keep)
 		sch.BindModel(cm)
 		eng.Attach(sch)
-		var moves []Move
-		for i, a := range attached[1:] {
-			for _, b := range attached[i+2:] {
-				moves = append(moves, SwapMove(a, b))
-			}
-		}
-		for _, v := range attached[1:] {
-			if !sch.IsLeaf(v) {
-				continue
-			}
-			for _, p := range attached {
-				if p != v {
-					moves = append(moves, RelocateMove(v, p))
-				}
-			}
-		}
+		moves := attachedMoves(sch, attached)
 		out := make([]int64, len(moves))
 		eng.EvalMoves(moves, out)
 		for i, mv := range moves {

@@ -108,6 +108,25 @@ type Engine struct {
 	// attached values, restored before Eval returns.
 	undoPos []int32
 	undoVal []int64
+
+	// Critical-reception index read by Pinned, indexed by node and
+	// rebuilt on the first query after the times change (Attach and
+	// CommitSwap clear pinOK). pinTotal counts the critical positions,
+	// those whose reception equals rt.
+	pins     []pinStat
+	pinTotal int32
+	pinOK    bool
+}
+
+// pinStat is one node's entry in the critical-reception index, describing
+// the subtree rooted at the node's position.
+type pinStat struct {
+	crit int32 // critical positions in the subtree
+	tail int32 // critical positions in its own and its later siblings' subtrees
+	// Preorder interval [pre, end) of the subtree: two subtrees overlap
+	// only when one contains the other.
+	pre, end int32
+	up       int32 // the parent node, -1 for the root
 }
 
 // fwdKind selects the forward recurrence's child fill.
@@ -184,6 +203,7 @@ func (e *Engine) attach(sch *Schedule, rc recurrence) {
 	}
 
 	e.dt, e.rt, e.done = 0, 0, 0
+	e.pinOK = false
 	switch e.fwd {
 	case fwdBase, fwdLink:
 		e.refreshTimes()
@@ -420,6 +440,7 @@ func (e *Engine) CommitSwap(a, b NodeID) {
 	if qa == qb {
 		return
 	}
+	e.pinOK = false
 	e.order[qa], e.order[qb] = b, a
 	e.pos[a], e.pos[b] = qb, qa
 	e.sendOf[qa], e.sendOf[qb] = e.sendOf[qb], e.sendOf[qa]
@@ -610,6 +631,114 @@ func (e *Engine) Eval(mv Move) (dt, rt int64) {
 		return e.evalRelocate(mv.A, mv.B)
 	default:
 		panic(fmt.Sprintf("model: Eval: unknown move kind %d", mv.Kind))
+	}
+}
+
+// Pinned reports that mv cannot lower RT: it leaves unchanged the
+// reception time of at least one critical position (one whose reception
+// equals RT), so the RT Eval(mv) returns is at least RT(). The positions
+// a move re-times are the ones Eval re-walks: the subtrees of both swapped
+// positions; for a relocation under M = 1 the leaf and the subtrees of its
+// later siblings, which move one rank earlier; and under the M-wide rows
+// the subtrees of the leaf's old parent and of the target, whose child
+// counts change. Under the reverse ready fold (reduce, barrier) any move
+// can shift the fold that offsets every time, so Pinned is always false
+// there. False is always a sound answer; a move naming an unattached node
+// gets it.
+//
+// The first query after Attach or CommitSwap rebuilds the index in O(n);
+// each query is then O(1). The preconditions are Eval's.
+//
+//hnow:noalloc
+func (e *Engine) Pinned(mv Move) bool {
+	if !e.pinOK {
+		e.refreshPins()
+	}
+	pins := e.pins
+	if uint(mv.A) >= uint(len(pins)) || uint(mv.B) >= uint(len(pins)) {
+		return false // the reverse fold's index is empty
+	}
+	x, y := &pins[mv.A], &pins[mv.B]
+	switch mv.Kind {
+	case MoveSwap:
+	case MoveRelocate:
+		if e.fwd != fwdRows {
+			return e.pinTotal > x.tail
+		}
+		up := int(x.up)
+		if uint(up) >= uint(len(pins)) {
+			return false
+		}
+		x = &pins[up] // the leaf's old parent
+	default:
+		return false
+	}
+	// Critical positions in the union of the two subtrees.
+	in := x.crit + y.crit
+	if in >= e.pinTotal && x.pre < y.end && y.pre < x.end {
+		in = max(x.crit, y.crit) // nested
+	}
+	return e.pinTotal > in
+}
+
+// refreshPins rebuilds the critical-reception index in two passes over
+// the flat layout: subtree counts and sizes bottom-up (descending
+// positions put children before parents), then preorder intervals and
+// sibling suffix sums top-down, each parent's children being contiguous.
+// An unattached node's entry counts every critical position, so no move
+// naming it is pinned. Under the reverse fold the index is empty.
+func (e *Engine) refreshPins() {
+	e.pinOK = true
+	if e.rev || e.fwd == fwdNone {
+		e.pins = e.pins[:0]
+		return
+	}
+	n, m, order := len(e.pos), e.m, e.order
+	if cap(e.pins) < n {
+		e.pins = make([]pinStat, n, growCap(n))
+	}
+	pins := e.pins[:n]
+	e.pins = pins
+	for q := 0; q < m; q++ {
+		st := pinStat{end: 1, up: -1} // end holds the subtree size until the second pass
+		if e.r[q] == e.rt {
+			st.crit = 1
+		}
+		if q > 0 {
+			st.up = int32(order[e.parentPos[q]])
+		}
+		pins[order[q]] = st
+	}
+	for q := m - 1; q > 0; q-- {
+		v := &pins[order[q]]
+		p := &pins[v.up]
+		p.crit += v.crit
+		p.end += v.end
+	}
+	root := &pins[order[0]]
+	root.tail = root.crit
+	for p := 0; p < m; p++ {
+		kl, kh := e.kidLo[p], e.kidHi[p]
+		next := pins[order[p]].pre + 1
+		for k := kl; k < kh; k++ {
+			st := &pins[order[k]]
+			size := st.end
+			st.pre, st.end = next, next+size
+			next += size
+		}
+		tail := int32(0)
+		for k := kh - 1; k >= kl; k-- {
+			st := &pins[order[k]]
+			tail += st.crit
+			st.tail = tail
+		}
+	}
+	total := root.crit
+	e.pinTotal = total
+	for v, q := range e.pos {
+		if q < 0 {
+			pins[v] = pinStat{crit: total, tail: total, up: -1}
+		}
 	}
 }
 

@@ -243,8 +243,8 @@ func TestEngineTracksAppliedMoves(t *testing.T) {
 var raceEnabled bool
 
 // TestEngineSteadyStateAllocFree pins the satellite regression: repeated
-// Attach, whole-neighborhood EvalMoves (swaps and relocations) and
-// CommitSwap on a warmed engine, and EvalTimes on its pooled engines,
+// Attach, whole-neighborhood EvalMoves and Pinned (swaps and relocations)
+// and CommitSwap on a warmed engine, and EvalTimes on its pooled engines,
 // allocate nothing under every cost model, bound in the value and the
 // pointer form, including across nearby instance sizes (the power-of-two
 // scratch growth).
@@ -281,6 +281,14 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			}); allocs != 0 {
 				t.Errorf("CommitSwap allocates %.1f per call pair", allocs)
 			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				eng.Attach(sch) // the first Pinned after it rebuilds the index
+				for _, mv := range moves {
+					eng.Pinned(mv)
+				}
+			}); allocs != 0 {
+				t.Errorf("Attach and a neighborhood of Pinned allocate %.1f per pass", allocs)
+			}
 			// The race detector drops a quarter of sync.Pool puts, so
 			// EvalTimes's pooled engine is only steady without it.
 			var tm Times
@@ -302,7 +310,9 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			eng.Attach(sch)
 			if allocs := testing.AllocsPerRun(20, func() {
 				eng.Attach(smallSch)
+				eng.Pinned(SwapMove(1, 2))
 				eng.Attach(sch)
+				eng.Pinned(SwapMove(1, 2))
 			}); allocs != 0 {
 				t.Errorf("size-alternating Attach allocates %.1f per call pair", allocs)
 			}

@@ -19,8 +19,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -166,15 +168,15 @@ func (s *MulticastSet) SortedDestinations() []NodeID {
 	for i := 1; i < len(s.Nodes); i++ {
 		ids = append(ids, i)
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		na, nb := s.Nodes[ids[a]], s.Nodes[ids[b]]
-		if na.Send != nb.Send {
-			return na.Send < nb.Send
+	slices.SortFunc(ids, func(a, b NodeID) int {
+		na, nb := &s.Nodes[a], &s.Nodes[b]
+		if c := cmp.Compare(na.Send, nb.Send); c != 0 {
+			return c
 		}
-		if na.Recv != nb.Recv {
-			return na.Recv < nb.Recv
+		if c := cmp.Compare(na.Recv, nb.Recv); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 	return ids
 }
